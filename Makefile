@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify race chaos trace fuzz bench bench-diff defense scale straggler
+.PHONY: build test verify race chaos trace fuzz bench bench-diff defense scale straggler roundbench-smoke
 
 build:
 	$(GO) build ./...
@@ -43,12 +43,20 @@ test:
 # the Decode allocation gates run WITHOUT -race because the race
 # runtime's shadow allocations make testing.AllocsPerRun and TotalAlloc
 # deltas meaningless (the gates skip themselves under -race, so this
-# named no-race stage is the only place they actually assert).
+# named no-race stage is the only place they actually assert). The
+# aggregation-plan tier runs right after the payload tier: every
+# runtime aggregates through aggregate.Plan, so its path selection,
+# member ordering and input rejection fail by name first, followed by
+# the dimension-check regressions (a wrong-length model from a
+# Byzantine PS or client must degrade, never crash) and the path-
+# counter parity between the engine and the distributed runtime.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race -run 'Gemm' ./internal/tensor/
 	$(GO) test -race -run 'TestObsDeterminism' ./internal/node/ ./internal/core/
 	$(GO) test -race -run 'TestPayloadAggregation' ./internal/aggregate/
+	$(GO) test -race -run 'TestPlan' ./internal/aggregate/
+	$(GO) test -race -run 'TestClientSkipsWrongDimModel|TestPSRejectsWrongDimUpload|TestAggPathCountersMatchEngine' ./internal/node/
 	$(GO) test -race -run 'TestLossRule|TestKrumFamilyPartialParticipation' ./internal/aggregate/
 	$(GO) test -race -run 'TestDistributedMatchesEngineLoss' ./internal/node/
 	$(GO) test -race -run 'TestShardedAggregation' ./internal/aggregate/
@@ -114,3 +122,12 @@ scale:
 # deterministic.
 straggler:
 	$(GO) run ./cmd/fedms-bench -exp straggler -stragglerout straggler_curve.json
+
+# Round-benchmark smoke: every workload for two seconds with the traced
+# replay on. Each run re-derives its rounds through the public
+# aggregation entry points, checks bit-identity and the fused/fallback
+# counts against the engine, and exits non-zero on a mismatch.
+roundbench-smoke:
+	for w in sim-paper sim-wide sim-async loopback; do \
+		$(GO) run ./roundbench --workload $$w --seed 1 --seconds 2 --trace 1 || exit 1; \
+	done

@@ -98,17 +98,17 @@ type BenchReport struct {
 	TrainStep  []BenchEntry `json:"train_step,omitempty"`
 	Codec      []BenchEntry `json:"codec,omitempty"`
 	// FusedAggregate compares aggregating codec payload views directly
-	// (the fused PayloadRule path) against densify-then-aggregate over
+	// (the plan's fused path) against densify-then-aggregate over
 	// the same views, at the paper's sparse-upload operating point.
 	FusedAggregate []BenchEntry `json:"fused_aggregate,omitempty"`
 	// LossRule measures the loss-oracle defenses: FedGreed and
-	// LossCluster through AggregateWithOracle with a synthetic O(d)
+	// LossCluster through the plan's oracle path with a synthetic O(d)
 	// oracle (so the numbers track the rules' own ordering and
 	// prefix-averaging cost, not model forward passes), and their
 	// geometry-only fallback when no oracle is configured.
 	LossRule []BenchEntry `json:"loss_rule,omitempty"`
 	// Scale measures simulated aggregation rounds streamed through the
-	// two-tier shard tree (aggregate.Sharded) at growing client counts
+	// two-tier shard tree (a sharded aggregate.Plan) at growing client counts
 	// K: Inputs=K, Workers=shards, AccBytes the peak per-shard
 	// accumulator. The full curve (K out to 100k, participation
 	// ablation, distributed smoke point) lives in `-exp scale`; this
@@ -364,16 +364,16 @@ func runPerf(out io.Writer, path string, seed uint64, quick bool) (*BenchReport,
 			fusedGatherAcc := 8*d + 8*n + 16*m + 4*tile + 12*tile*n + 8*n
 			densifyAcc := 8 * d * (n + 1)
 			addFused("fused_aggregate/mean/fused", d, n, fusedMeanAcc, func() {
-				aggregate.AggregatePayloads(mean, views)
+				planAggregate(aggregate.Plan{Rule: mean}, nil, views, nil)
 			})
 			addFused("fused_aggregate/mean/densify", d, n, densifyAcc, func() {
-				aggregate.AggregatePayloads(aggregate.NoFuse{Rule: mean}, views)
+				planAggregate(aggregate.Plan{Rule: aggregate.NoFuse{Rule: mean}}, nil, views, nil)
 			})
 			addFused("fused_aggregate/trimmed_mean/fused", d, n, fusedGatherAcc, func() {
-				aggregate.AggregatePayloads(tm, views)
+				planAggregate(aggregate.Plan{Rule: tm}, nil, views, nil)
 			})
 			addFused("fused_aggregate/trimmed_mean/densify", d, n, densifyAcc, func() {
-				aggregate.AggregatePayloads(aggregate.NoFuse{Rule: tm}, views)
+				planAggregate(aggregate.Plan{Rule: aggregate.NoFuse{Rule: tm}}, nil, views, nil)
 			})
 		}
 	}
@@ -381,7 +381,7 @@ func runPerf(out io.Writer, path string, seed uint64, quick bool) (*BenchReport,
 	fmt.Fprintln(out, "Performance pass (loss-oracle rules, synthetic O(d) oracle):")
 	{
 		for _, d := range dims {
-			vecs := benchVecs(seed^0x105e, n, d)
+			views := denseViews(benchVecs(seed^0x105e, n, d))
 			// Synthetic oracle: squared distance to a fixed target. Cheap
 			// and deterministic, so the entries measure the rules' own
 			// ordering, prefix-averaging and dispatch overhead.
@@ -396,10 +396,10 @@ func runPerf(out io.Writer, path string, seed uint64, quick bool) (*BenchReport,
 			}
 			for _, lr := range []aggregate.Rule{aggregate.FedGreed{}, aggregate.LossCluster{}} {
 				add(&report.LossRule, "loss_rule/"+lr.Name()+"/oracle", d, n, 1, func() {
-					aggregate.AggregateWithOracle(lr, vecs, eval)
+					planAggregate(aggregate.Plan{Rule: lr, Oracle: eval}, nil, views, nil)
 				})
 				add(&report.LossRule, "loss_rule/"+lr.Name()+"/fallback", d, n, 1, func() {
-					aggregate.AggregateWithOracle(lr, vecs, nil)
+					planAggregate(aggregate.Plan{Rule: lr}, nil, views, nil)
 				})
 			}
 		}
@@ -465,7 +465,7 @@ func runPerf(out io.Writer, path string, seed uint64, quick bool) (*BenchReport,
 		// unweighted; these entries price that threading against the
 		// unweighted aggregate section above.
 		for _, d := range dims {
-			vecs := benchVecs(seed^0xa57c, n, d)
+			views := denseViews(benchVecs(seed^0xa57c, n, d))
 			weights := make([]float64, n)
 			for i := range weights {
 				weights[i] = 1.0 / float64(1+i%3) // w(s) = 1/(1+s), s cycling 0..2
@@ -473,11 +473,11 @@ func runPerf(out io.Writer, path string, seed uint64, quick bool) (*BenchReport,
 			dst := make([]float64, d)
 			wtm := aggregate.TrimmedMean{Beta: 0.2, Workers: 1}
 			add(&report.AsyncRound, "async_round/weighted/trimmed_mean", d, n, 1, func() {
-				aggregate.AggregateWeighted(wtm, dst, vecs, weights)
+				planAggregate(aggregate.Plan{Rule: wtm}, dst, views, weights)
 			})
 			wmed := aggregate.CoordinateMedian{Workers: 1}
 			add(&report.AsyncRound, "async_round/weighted/median", d, n, 1, func() {
-				aggregate.AggregateWeighted(wmed, dst, vecs, weights)
+				planAggregate(aggregate.Plan{Rule: wmed}, dst, views, weights)
 			})
 		}
 
@@ -642,4 +642,33 @@ func runPerf(out io.Writer, path string, seed uint64, quick bool) (*BenchReport,
 	}
 	fmt.Fprintf(out, "wrote %s\n", path)
 	return report, nil
+}
+
+// planAggregate runs one aggregation through the plan, members in
+// slice order (weights nil = unweighted).
+func planAggregate(p aggregate.Plan, dst []float64, views []compress.Payload, weights []float64) aggregate.Result {
+	s := p.Start(0, len(views))
+	for i := range views {
+		w := 0.0
+		if weights != nil {
+			w = weights[i]
+		}
+		if err := s.Offer(i, views[i], w); err != nil {
+			panic(err)
+		}
+	}
+	res, err := s.Finalize(dst)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// denseViews wraps dense vectors as zero-copy payload views.
+func denseViews(vecs [][]float64) []compress.Payload {
+	views := make([]compress.Payload, len(vecs))
+	for i, v := range vecs {
+		views[i] = compress.DensePayload(v)
+	}
+	return views
 }

@@ -5,7 +5,7 @@ package main
 // point simulates the aggregation round of a federation with K clients
 // — participation sampling, sparse upload assignment and topk payload
 // uploads exactly as the engine derives them — streamed through
-// aggregate.Sharded per parameter server, so the measured quantity is
+// a sharded aggregate.Plan per parameter server, so the measured quantity is
 // the server-side cost that dominates at scale (local SGD is embarras-
 // singly parallel across edge devices and off the critical path here).
 // The curve goes out to K = 100k simulated clients; a distributed
@@ -102,16 +102,22 @@ func scaleRound(seed uint64, round, k int, f float64, pool []compress.Payload, a
 		if len(assign[i]) == 0 {
 			continue
 		}
-		sa, ok := aggregate.NewSharded(aggregate.Mean{}, scaleDim, scaleShards, len(assign[i]))
-		if !ok {
-			panic("scale: mean must be shardable")
-		}
+		sa := aggregate.Plan{Rule: aggregate.Mean{}, Shards: scaleShards}.Start(scaleDim, len(assign[i]))
 		for _, c := range assign[i] {
-			sa.Offer(c, pool[c%len(pool)])
+			if err := sa.Offer(c, pool[c%len(pool)], 0); err != nil {
+				panic(err)
+			}
 		}
-		aggBufs[i] = sa.Finalize(aggBufs[i])
-		if p := sa.PeakShardBytes(); p > peak {
-			peak = p
+		res, err := sa.Finalize(aggBufs[i])
+		if err != nil {
+			panic(err)
+		}
+		if res.Path != aggregate.PathSharded {
+			panic("scale: mean must take the sharded path")
+		}
+		aggBufs[i] = res.Out
+		if res.PeakBytes > peak {
+			peak = res.PeakBytes
 		}
 	}
 	return peak

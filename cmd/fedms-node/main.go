@@ -325,7 +325,7 @@ func run(args []string) error {
 	}
 	// Async admission down-weights stale uploads before the robust rule,
 	// so the benign servers' rule must expose a weighted kernel.
-	if o.async && !aggregate.IsWeighted(o.serverRuleObj) {
+	if o.async && !aggregate.PerCoordinate(o.serverRuleObj) {
 		return fmt.Errorf("-async requires a weighted -server-rule (mean, trim:b, median), got %s", o.serverRuleObj.Name())
 	}
 	st, err := o.setupObs()

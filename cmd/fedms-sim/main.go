@@ -114,7 +114,7 @@ func run(args []string) error {
 		// Stale uploads are down-weighted before the robust rule, so
 		// the servers' rule must expose a weighted kernel.
 		if *serverSpec != "" {
-			if r, err := fedms.ParseRule(*serverSpec); err == nil && !aggregate.IsWeighted(r) {
+			if r, err := fedms.ParseRule(*serverSpec); err == nil && !aggregate.PerCoordinate(r) {
 				return fmt.Errorf("-async requires a weighted -server-rule (mean, trim:b, median), got %s", r.Name())
 			}
 		}

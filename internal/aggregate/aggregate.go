@@ -26,30 +26,6 @@ type Rule interface {
 	Aggregate(vecs [][]float64) []float64
 }
 
-// RuleInto is implemented by rules that can write their aggregate into
-// a caller-provided buffer, so steady-state rounds stop allocating the
-// d·8-byte output vector per call. The contract matches Aggregate
-// bit for bit: AggregateInto(dst, vecs) returns dst (reused when its
-// capacity suffices, freshly allocated otherwise) holding exactly the
-// bytes Aggregate(vecs) would return, and must not retain or mutate the
-// inputs.
-type RuleInto interface {
-	Rule
-	AggregateInto(dst []float64, vecs [][]float64) []float64
-}
-
-// AggregateInto aggregates under rule r, reusing dst's storage when r
-// supports in-place output and dst's capacity suffices. Rules without
-// an in-place path fall back to Aggregate and return its fresh vector;
-// either way the returned slice holds the aggregate and the caller must
-// use it (not dst) as the result.
-func AggregateInto(r Rule, dst []float64, vecs [][]float64) []float64 {
-	if ri, ok := r.(RuleInto); ok {
-		return ri.AggregateInto(dst, vecs)
-	}
-	return r.Aggregate(vecs)
-}
-
 // ensureVec returns dst resized to d, reallocating only when the
 // capacity is insufficient. Contents are unspecified: callers overwrite
 // (or zero) every coordinate.
@@ -82,15 +58,7 @@ func (Mean) Name() string { return "mean" }
 
 // Aggregate implements Rule.
 func (m Mean) Aggregate(vecs [][]float64) []float64 {
-	return m.AggregateInto(nil, vecs)
-}
-
-// AggregateInto implements RuleInto.
-func (Mean) AggregateInto(dst []float64, vecs [][]float64) []float64 {
-	d := checkInputs(vecs, "mean")
-	out := ensureVec(dst, d)
-	tensor.VecMean(out, vecs)
-	return out
+	return aggregateRows(m, "mean", vecs)
 }
 
 // TrimmedMean is the Fed-MS model filter trmean_beta: per coordinate,
@@ -149,27 +117,7 @@ func (t TrimmedMean) TrimCount(n int) int {
 
 // Aggregate implements Rule.
 func (t TrimmedMean) Aggregate(vecs [][]float64) []float64 {
-	return t.AggregateInto(nil, vecs)
-}
-
-// AggregateInto implements RuleInto.
-func (t TrimmedMean) AggregateInto(dst []float64, vecs [][]float64) []float64 {
-	d := checkInputs(vecs, "trimmed_mean")
-	n := len(vecs)
-	m := t.TrimCount(n)
-	out := ensureVec(dst, d)
-	forEachCoordChunk(d, n, t.Workers, func(lo, hi int) {
-		s := getChunkScratch(n, 2*m) // col plus selection-window scratch, shared by the chunk's columns
-		col, win := s.col, s.win
-		for j := lo; j < hi; j++ {
-			for i, v := range vecs {
-				col[i] = v[j]
-			}
-			out[j] = trimmedMeanOf(col, m, win)
-		}
-		putChunkScratch(s)
-	})
-	return out
+	return aggregateRows(t, "trimmed_mean", vecs)
 }
 
 // CoordinateMedian takes the per-coordinate median (Yin et al., 2018).
@@ -185,30 +133,16 @@ func (CoordinateMedian) Name() string { return "median" }
 
 // Aggregate implements Rule.
 func (c CoordinateMedian) Aggregate(vecs [][]float64) []float64 {
-	return c.AggregateInto(nil, vecs)
+	return aggregateRows(c, "median", vecs)
 }
 
-// AggregateInto implements RuleInto.
-func (c CoordinateMedian) AggregateInto(dst []float64, vecs [][]float64) []float64 {
-	d := checkInputs(vecs, "median")
-	n := len(vecs)
-	out := ensureVec(dst, d)
-	forEachCoordChunk(d, n, c.Workers, func(lo, hi int) {
-		s := getChunkScratch(n, 0)
-		col := s.col
-		for j := lo; j < hi; j++ {
-			for i, v := range vecs {
-				col[i] = v[j]
-			}
-			sortColumn(col)
-			if n%2 == 1 {
-				out[j] = col[n/2]
-			} else {
-				out[j] = 0.5 * (col[n/2-1] + col[n/2])
-			}
-		}
-		putChunkScratch(s)
-	})
+// aggregateRows is Aggregate of a per-coordinate rule: the dense-rows
+// driver over the rule's kernel, into a fresh vector.
+func aggregateRows(r Rule, name string, vecs [][]float64) []float64 {
+	d := checkInputs(vecs, name)
+	k, _ := coordKernel(r, len(vecs), nil)
+	out := make([]float64, d)
+	k.reduceRows(out, vecs)
 	return out
 }
 
@@ -355,8 +289,4 @@ var (
 	_ Rule = CoordinateMedian{}
 	_ Rule = Krum{}
 	_ Rule = GeoMedian{}
-
-	_ RuleInto = Mean{}
-	_ RuleInto = TrimmedMean{}
-	_ RuleInto = CoordinateMedian{}
 )

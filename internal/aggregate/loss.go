@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"fedms/internal/compress"
 	"fedms/internal/tensor"
 )
 
@@ -12,98 +11,24 @@ import (
 // split and returns its loss. The oracle contract (DESIGN.md §Loss
 // oracle): an eval is a deterministic pure function of the model —
 // same bits in, same loss out — it never mutates the model or any
-// training state, and every call is counted in obs at the dispatch
-// site. Implementations must return a finite value for finite inputs;
-// NaN is tolerated defensively (ordered after every real loss) but is
-// a bug in the oracle.
+// training state, and every call is counted in Result.Evals.
+// Implementations must return a finite value for finite inputs; NaN is
+// tolerated defensively (ordered after every real loss) but is a bug
+// in the oracle.
 type LossEval func(model []float64) float64
 
 // LossRule is a Rule that can exploit a holdout-loss oracle. The
 // plain Aggregate method is the geometry-only fallback used when no
-// oracle is configured (mirroring how PayloadRule falls back to
-// densify-first): both paths must satisfy the full Rule contract, so
-// a LossRule is always safe to run oracle-less.
+// oracle is configured: both paths must satisfy the full Rule
+// contract, so a LossRule is always safe to run oracle-less. Plan
+// routes to AggregateWithLoss when its Oracle is set.
 type LossRule interface {
 	Rule
 	// AggregateWithLoss returns a fresh vector; it must not retain or
-	// mutate the inputs, and must treat eval as read-only (calls may
-	// be counted by the dispatcher). A nil eval must behave exactly
-	// like Aggregate.
+	// mutate the inputs, and must treat eval as read-only (the plan
+	// counts the calls). A nil eval must behave exactly like
+	// Aggregate.
 	AggregateWithLoss(vecs [][]float64, eval LossEval) []float64
-}
-
-// AggregateWithOracle aggregates vecs under rule r, routing through
-// the loss oracle when r implements LossRule and an oracle is
-// configured. oracleEvals reports how many times eval ran — the
-// runtime's oracle-call counters consume it. With a nil eval or a
-// geometry-only rule this is exactly r.Aggregate.
-func AggregateWithOracle(r Rule, vecs [][]float64, eval LossEval) (out []float64, oracleEvals int) {
-	lr, ok := r.(LossRule)
-	if !ok || eval == nil {
-		return r.Aggregate(vecs), 0
-	}
-	calls := 0
-	counted := func(m []float64) float64 { calls++; return eval(m) }
-	return lr.AggregateWithLoss(vecs, counted), calls
-}
-
-// AggregatePayloadsWithOracle is the payload-view entry point of the
-// oracle dispatch: loss rules score whole candidate models, so the
-// views are densified first (counted as a fallback, not a fused
-// aggregation) and handed to AggregateWithLoss. Geometry-only rules
-// and nil oracles take the ordinary AggregatePayloads path unchanged,
-// fused when available. A NoFuse wrapper hides the loss path along
-// with the fused one.
-func AggregatePayloadsWithOracle(r Rule, ps []compress.Payload, eval LossEval) (out []float64, fused bool, oracleEvals int) {
-	lr, ok := r.(LossRule)
-	if !ok || eval == nil {
-		out, fused = AggregatePayloads(r, ps)
-		return out, fused, 0
-	}
-	checkPayloads(ps, r.Name())
-	vecs := make([][]float64, len(ps))
-	for i := range ps {
-		vecs[i] = ps[i].DenseView()
-	}
-	calls := 0
-	counted := func(m []float64) float64 { calls++; return eval(m) }
-	return lr.AggregateWithLoss(vecs, counted), false, calls
-}
-
-// AggregateWithOracleInto is AggregateWithOracle with a caller-provided
-// output buffer, reused when the rule supports in-place output (loss
-// rules keep their fresh-vector path). The returned slice holds the
-// aggregate; callers must use it, not dst.
-func AggregateWithOracleInto(r Rule, dst []float64, vecs [][]float64, eval LossEval) (out []float64, oracleEvals int) {
-	lr, ok := r.(LossRule)
-	if !ok || eval == nil {
-		return AggregateInto(r, dst, vecs), 0
-	}
-	calls := 0
-	counted := func(m []float64) float64 { calls++; return eval(m) }
-	return lr.AggregateWithLoss(vecs, counted), calls
-}
-
-// AggregatePayloadsWithOracleInto is AggregatePayloadsWithOracle with a
-// caller-provided output buffer: geometry-only rules route through
-// AggregatePayloadsInto and reuse dst when they can; loss rules keep
-// their fresh-vector path (their outputs are retained by construction —
-// the winning prefix average — so in-place writing buys nothing). The
-// returned slice holds the aggregate; callers must use it, not dst.
-func AggregatePayloadsWithOracleInto(r Rule, dst []float64, ps []compress.Payload, eval LossEval) (out []float64, fused bool, oracleEvals int) {
-	lr, ok := r.(LossRule)
-	if !ok || eval == nil {
-		out, fused = AggregatePayloadsInto(r, dst, ps)
-		return out, fused, 0
-	}
-	checkPayloads(ps, r.Name())
-	vecs := make([][]float64, len(ps))
-	for i := range ps {
-		vecs[i] = ps[i].DenseView()
-	}
-	calls := 0
-	counted := func(m []float64) float64 { calls++; return eval(m) }
-	return lr.AggregateWithLoss(vecs, counted), false, calls
 }
 
 // FedGreed is the greedy lowest-holdout-loss subset average of

@@ -1,7 +1,6 @@
 package aggregate
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,8 +13,8 @@ import (
 // shards, uploads stream through S bounded queues, and each shard
 // incrementally transposes its column range into a bounded column-major
 // block on its own goroutine. When the input set is complete the shard
-// runs the same per-coordinate kernels as the unsharded rules
-// (trimmedMeanOf, sortColumn, the ordered mean sum) over its range, and
+// runs the unsharded rules' own coordKernel over its range (this file
+// is the kernel table's third gather driver), and
 // the root accumulator is simply the shared output vector the shards'
 // disjoint ranges concatenate into.
 //
@@ -25,12 +24,12 @@ import (
 //   - Rows are sorted by member id before reduction, so every
 //     coordinate's column is gathered in exactly the ascending-id order
 //     the engine and PS aggregate in.
-//   - The per-coordinate kernels are the unsharded rules' own: the trim
-//     count, selection-path choice and sort routine are pure functions
-//     of (n, m) and never of the shard geometry.
+//   - The per-coordinate kernel is the unsharded rules' own coordKernel:
+//     the trim count, selection-path choice and sort routine are pure
+//     functions of (n, m) and never of the shard geometry.
 //   - An all-sparse shard leaves untouched columns at +0.0, matching
-//     gatherSparseChunk; for the shardable rules the kernel of an
-//     all-zero column is exactly +0.0, so skipping is exact.
+//     gatherSparseChunk; every coordKernel maps an all-zero column to
+//     exactly +0.0, so skipping is exact.
 //
 // Memory per shard is O(K·d/S): a capRows × width column-major block
 // for dense/quantized rows plus an entry arena holding only the
@@ -39,7 +38,7 @@ import (
 // the full K×d matrix.
 
 // shardQueueDepth bounds each shard's ingest queue. A full queue blocks
-// Offer — the router's backpressure — so a slow shard throttles intake
+// offer — the router's backpressure — so a slow shard throttles intake
 // instead of buffering unboundedly.
 const shardQueueDepth = 64
 
@@ -67,11 +66,10 @@ type shardRow struct {
 // the weight).
 const shardRowBytes = 40
 
-// Sharded streams member payloads through a coordinate-sharded
-// aggregation tree for one aggregation (one PS round). Offer may be
-// called from a single goroutine; Finalize (or Abort) completes the
-// tree. A Sharded is one-shot: construct a new one per aggregation.
-type Sharded struct {
+// sharded is the tree behind one sharded Stream (one PS round): offer
+// is called from the stream's goroutine, and finalize (or abort)
+// completes the tree.
+type sharded struct {
 	rule     Rule
 	d        int
 	weighted bool
@@ -79,39 +77,19 @@ type Sharded struct {
 	queues   []chan shardMsg
 	wg       sync.WaitGroup
 	out      []float64
-	offered  int
 	aborted  atomic.Bool
 	peak     atomic.Int64
-	done     bool
 }
 
-// ShardableRule reports whether rule r has a coordinate-sharded path:
-// the per-coordinate rules Mean, TrimmedMean and CoordinateMedian.
-// Selection and loss rules score whole vectors and fall back to the
-// unsharded path, as does a NoFuse wrapper (sharding is a fused-style
-// path, and NoFuse is the escape hatch that disables those).
-func ShardableRule(r Rule) bool {
-	switch r.(type) {
-	case Mean, TrimmedMean, CoordinateMedian:
-		return true
-	}
-	return false
-}
-
-// NewSharded builds the shard tree for rule r over dimension d with at
-// most shards shards. rowsHint, when positive, presizes each shard for
-// that many member rows. ok is false — and the caller must use the
-// unsharded path — when the rule is not shardable or the geometry
-// degenerates (shards <= 1 or d == 0).
-func NewSharded(r Rule, d, shards, rowsHint int) (*Sharded, bool) {
-	if !ShardableRule(r) || shards <= 1 || d <= 0 {
-		return nil, false
-	}
+// newSharded builds the shard tree for a PerCoordinate rule r over
+// dimension d ≥ 1 with at most shards ≥ 2 shards. rowsHint, when
+// positive, presizes each shard for that many member rows.
+func newSharded(r Rule, d, shards, rowsHint int) *sharded {
 	if shards > d {
 		shards = d
 	}
 	width := (d + shards - 1) / shards
-	s := &Sharded{rule: r, d: d}
+	s := &sharded{rule: r, d: d}
 	for lo := 0; lo < d; lo += width {
 		hi := lo + width
 		if hi > d {
@@ -124,94 +102,48 @@ func NewSharded(r Rule, d, shards, rowsHint int) (*Sharded, bool) {
 		s.wg.Add(1)
 		go sh.run(q)
 	}
-	return s, true
+	return s
 }
 
-// NewShardedWeighted is NewSharded for a weighted aggregation: rows
-// arrive via OfferWeighted and reduce through the weighted kernels
-// (bit-identical to NewSharded at weight ≡ 1).
-func NewShardedWeighted(r Rule, d, shards, rowsHint int) (*Sharded, bool) {
-	s, ok := NewSharded(r, d, shards, rowsHint)
-	if ok {
-		s.weighted = true
-	}
-	return s, ok
-}
-
-// NumShards returns the number of shards actually built (at most the
-// requested count, never more than d).
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Offer routes one member's payload to every shard. It blocks when a
-// shard's queue is full — backpressure, not loss. The payload view (and
-// its backing buffer) must stay valid until Finalize or Abort returns.
-// Member ids must be unique; rows are ordered by ascending id at reduce
-// time regardless of arrival order.
-func (s *Sharded) Offer(id int, p compress.Payload) {
-	s.OfferWeighted(id, p, 1)
-}
-
-// OfferWeighted is Offer with the row's aggregation weight; the weight
-// only takes effect on a tree built by NewShardedWeighted.
-func (s *Sharded) OfferWeighted(id int, p compress.Payload, w float64) {
-	if p.Dim() != s.d {
-		panic(fmt.Sprintf("aggregate: sharded %s input has dim %d, want %d", s.rule.Name(), p.Dim(), s.d))
-	}
-	if s.weighted && (!(w > 0) || w > 1e300) {
-		panic(fmt.Sprintf("aggregate: sharded %s weight %v, want positive and finite", s.rule.Name(), w))
-	}
+// offer routes one member's payload to every shard. It blocks when a
+// shard's queue is full — backpressure, not loss. The payload view
+// (and its backing buffer) must stay valid until finalize or abort
+// returns.
+func (s *sharded) offer(id int, p compress.Payload, w float64) {
 	for i := range s.queues {
 		s.queues[i] <- shardMsg{id: id, p: p, w: w}
 	}
-	s.offered++
 }
 
-// Finalize completes the stream: every shard reduces its column range
+// finalize completes the stream: every shard reduces its column range
 // as soon as it drains its queue, and the concatenated result — stored
-// in dst when its capacity suffices — is returned. Bit-identical to the
-// unsharded rule over the same rows in ascending-id order. Panics on an
-// empty input set, like the rules themselves.
-func (s *Sharded) Finalize(dst []float64) []float64 {
-	if s.done {
-		panic("aggregate: Finalize on a completed Sharded")
+// in dst when its capacity suffices — is returned.
+func (s *sharded) finalize(dst []float64, weighted bool) []float64 {
+	out := ensureVec(dst, s.d)
+	for i := range out {
+		out[i] = 0
 	}
-	if s.offered == 0 {
-		panic(fmt.Sprintf("aggregate: %s on empty input", s.rule.Name()))
-	}
-	out := zeroVec(dst, s.d)
-	s.out = out // published to the shard goroutines by the closes below
+	s.out, s.weighted = out, weighted // published to the shard goroutines by the closes below
 	for i := range s.queues {
 		close(s.queues[i])
 	}
 	s.wg.Wait()
-	s.done = true
 	return out
 }
 
-// Abort tears the tree down without reducing: queues are drained and
-// closed and every shard goroutine exits. Safe after partial Offers,
-// e.g. when a PS round fails mid-barrier.
-func (s *Sharded) Abort() {
-	if s.done {
-		return
-	}
+// abort tears the tree down without reducing: queues are closed and
+// every shard goroutine exits.
+func (s *sharded) abort() {
 	s.aborted.Store(true)
 	for i := range s.queues {
 		close(s.queues[i])
 	}
 	s.wg.Wait()
-	s.done = true
 }
-
-// PeakShardBytes returns the largest accumulator footprint any single
-// shard reached — block, entry arena, row records and gather scratch —
-// valid after Finalize or Abort. This is the measured side of the
-// O(K·d/S) memory bound.
-func (s *Sharded) PeakShardBytes() int64 { return s.peak.Load() }
 
 // aggShard owns one contiguous coordinate range [lo, hi).
 type aggShard struct {
-	parent   *Sharded
+	parent   *sharded
 	lo, hi   int
 	rowsHint int
 
@@ -303,21 +235,21 @@ func (sh *aggShard) growBlock(width int) {
 func (sh *aggShard) reduce(out []float64) {
 	n := len(sh.rows)
 	if n == 0 {
-		return // Finalize already rejected the empty aggregation
+		return // the stream already rejected the empty aggregation
 	}
 	sort.Slice(sh.rows, func(a, b int) bool { return sh.rows[a].id < sh.rows[b].id })
-	kernel, winLen := shardKernel(sh.parent.rule, n)
-	width := sh.hi - sh.lo
-	s := getChunkScratch(n, winLen)
+	var wrow []float64
 	if sh.parent.weighted {
 		// Row weights in sorted order; a fresh slice, not chunk scratch,
 		// because the weighted kernels use s.wcol for their own copies.
-		wrow := make([]float64, n)
+		wrow = make([]float64, n)
 		for i := range sh.rows {
 			wrow[i] = sh.rows[i].w
 		}
-		kernel = weightedShardKernel(sh.parent.rule, wrow, s)
 	}
+	k, _ := coordKernel(sh.parent.rule, n, wrow)
+	width := sh.hi - sh.lo
+	s := getChunkScratch(n, k.winLen())
 	col, win := s.col, s.win
 	curs := grownInts(s.cur, n)
 	s.cur = curs
@@ -341,12 +273,12 @@ func (sh *aggShard) reduce(out []float64) {
 				continue
 			}
 			sh.gatherColumn(col, curs, jl)
-			out[sh.lo+jl] = kernel(col, win)
+			out[sh.lo+jl] = k.reduce(col, win, s)
 		}
 	} else {
 		for jl := 0; jl < width; jl++ {
 			sh.gatherColumn(col, curs, jl)
-			out[sh.lo+jl] = kernel(col, win)
+			out[sh.lo+jl] = k.reduce(col, win, s)
 		}
 	}
 	putChunkScratch(s)
@@ -370,111 +302,4 @@ func (sh *aggShard) gatherColumn(col []float64, curs []int, jl int) {
 		}
 		col[i] = v
 	}
-}
-
-// shardKernel returns the per-coordinate kernel of a shardable rule for
-// n inputs, plus the selection-window scratch length it needs. The
-// kernels are the unsharded rules' own per-coordinate arithmetic:
-// TrimCount, the selection path and the sort are pure functions of
-// (n, m), and the mean multiplies the ascending-order sum by the same
-// 1/n the fused path scales by.
-func shardKernel(r Rule, n int) (kernel func(col, win []float64) float64, winLen int) {
-	switch t := r.(type) {
-	case Mean:
-		inv := 1 / float64(n)
-		return func(col, _ []float64) float64 {
-			s := 0.0
-			for _, v := range col {
-				s += v
-			}
-			return s * inv
-		}, 0
-	case TrimmedMean:
-		m := t.TrimCount(n)
-		return func(col, win []float64) float64 {
-			return trimmedMeanOf(col, m, win)
-		}, 2 * m
-	case CoordinateMedian:
-		return func(col, _ []float64) float64 {
-			sortColumn(col)
-			if n%2 == 1 {
-				return col[n/2]
-			}
-			return 0.5 * (col[n/2-1] + col[n/2])
-		}, 0
-	}
-	panic(fmt.Sprintf("aggregate: shardKernel on unshardable rule %s", r.Name()))
-}
-
-// weightedShardKernel returns the weighted per-coordinate kernel over
-// rows weighted by wrow (sorted-row order). The closures capture the
-// shard goroutine's own scratch, so they are race-free, and they
-// mirror the unweighted kernels' arithmetic exactly at weight ≡ 1
-// (same scan order, same single reciprocal for the mean). The window
-// length matches shardKernel's for the same (rule, n).
-func weightedShardKernel(r Rule, wrow []float64, s *chunkScratch) func(col, win []float64) float64 {
-	n := len(wrow)
-	switch t := r.(type) {
-	case Mean:
-		wsum := 0.0
-		for _, w := range wrow {
-			wsum += w
-		}
-		inv := 1 / wsum
-		return func(col, _ []float64) float64 {
-			sum := 0.0
-			for i, v := range col {
-				sum += wrow[i] * v
-			}
-			return sum * inv
-		}
-	case TrimmedMean:
-		m := t.TrimCount(n)
-		return func(col, win []float64) float64 {
-			return weightedTrimmedMeanOf(col, wrow, m, win, s)
-		}
-	case CoordinateMedian:
-		return func(col, _ []float64) float64 {
-			return weightedMedianOf(col, wrow, s)
-		}
-	}
-	panic(fmt.Sprintf("aggregate: weightedShardKernel on unshardable rule %s", r.Name()))
-}
-
-// ShardAggregatePayloads aggregates payload views through the shard
-// tree when the rule and geometry allow it, falling back to
-// AggregatePayloadsInto otherwise. ps must be ordered by ascending
-// member id — the invariant the engine and PS aggregation sites already
-// hold — so the fallback and the sharded path see the same member
-// order. peakBytes reports the largest per-shard accumulator footprint
-// (0 on the unsharded path).
-func ShardAggregatePayloads(r Rule, dst []float64, ps []compress.Payload, shards int) (out []float64, sharded bool, peakBytes int64) {
-	d := checkPayloads(ps, r.Name())
-	sa, ok := NewSharded(r, d, shards, len(ps))
-	if !ok {
-		out, _ = AggregatePayloadsInto(r, dst, ps)
-		return out, false, 0
-	}
-	for i := range ps {
-		sa.Offer(i, ps[i])
-	}
-	return sa.Finalize(dst), true, sa.PeakShardBytes()
-}
-
-// ShardAggregateWeightedPayloads is ShardAggregatePayloads for a
-// weighted row set: ps must be ordered ascending by member id with
-// weights aligned, and the fallback is the fused weighted path. At
-// weight ≡ 1 it is bit-identical to ShardAggregatePayloads.
-func ShardAggregateWeightedPayloads(r Rule, dst []float64, ps []compress.Payload, weights []float64, shards int) (out []float64, sharded bool, peakBytes int64) {
-	d := checkPayloads(ps, r.Name())
-	checkWeights(len(ps), weights, r.Name())
-	sa, ok := NewShardedWeighted(r, d, shards, len(ps))
-	if !ok {
-		out, _ = AggregateWeightedPayloads(r, dst, ps, weights)
-		return out, false, 0
-	}
-	for i := range ps {
-		sa.OfferWeighted(i, ps[i], weights[i])
-	}
-	return sa.Finalize(dst), true, sa.PeakShardBytes()
 }

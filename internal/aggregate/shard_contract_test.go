@@ -18,8 +18,8 @@ var shardSpecs = []string{"dense", "topk:0.25", "topk:0.01", "q8", "ef+topk:0.1"
 // TestShardedAggregationBitIdentical is the differential contract of
 // the two-tier aggregation tree: for every rule in the registry ×
 // shard count × worker count × degraded quorum × payload codec,
-// ShardAggregatePayloads must be bit-identical to the unsharded
-// AggregatePayloads over the same member order. Shardable rules
+// a sharded Plan must be bit-identical to the unsharded plan over the
+// same member order. PerCoordinate rules
 // (mean, trimmed mean, median) must actually take the sharded path;
 // every other rule must report the unsharded fallback. Dimensions
 // cover a sub-tile vector, a multi-tile vector with ragged shard
@@ -42,20 +42,21 @@ func TestShardedAggregationBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ParseRule(%q): %v", name, err)
 				}
-				if d > 1000 && !ShardableRule(parsed) {
+				if d > 1000 && !PerCoordinate(parsed) {
 					continue // the big-dim pass pins the sharded kernels, not the O(n²·d) baselines
 				}
 				for _, p := range quorums {
 					sub := views[:p]
 					for _, w := range workers {
 						rule := WithWorkers(parsed, w)
-						want, _ := AggregatePayloads(rule, sub)
+						want, _, _ := AggregatePayloadsWithOracleInto(rule, nil, sub, nil)
 						for _, s := range shardCounts {
-							got, sharded, peak := ShardAggregatePayloads(rule, nil, sub, s)
+							res := Plan{Rule: rule, Shards: s}.run(nil, sub, nil)
+							got, sharded, peak := res.Out, res.Path == PathSharded, res.PeakBytes
 							label := spec + "/" + name + "/d=" + itoa(d) +
 								"/p=" + itoa(p) + "/w=" + itoa(w) + "/s=" + itoa(s)
-							if sharded != ShardableRule(rule) {
-								t.Fatalf("%s: sharded=%v, want %v", label, sharded, ShardableRule(rule))
+							if sharded != PerCoordinate(rule) {
+								t.Fatalf("%s: sharded=%v, want %v", label, sharded, PerCoordinate(rule))
 							}
 							if sharded && peak <= 0 {
 								t.Fatalf("%s: sharded path reported peak %d bytes", label, peak)
@@ -84,24 +85,29 @@ func TestShardedAggregationStreaming(t *testing.T) {
 	views, _ := encodeViews(t, "dense", vecs, 7)
 
 	rule := TrimmedMean{Beta: 0.2}
-	want, _ := AggregatePayloads(rule, views) // member order = ascending id
+	want, _, _ := AggregatePayloadsWithOracleInto(rule, nil, views, nil) // member order = ascending id
 
 	dst := make([]float64, d)
 	for i := range dst {
 		dst[i] = 1e30 // dirt that must be fully overwritten
 	}
-	sa, ok := NewSharded(rule, d, 4, 0) // rowsHint 0 forces block growth
-	if !ok {
-		t.Fatal("NewSharded: trimmed mean must be shardable")
-	}
+	sa := Plan{Rule: rule, Shards: 4}.Start(d, 0) // rowsHint 0 forces block growth
 	perm := randx.Perm(randx.New(9), n)
 	for _, id := range perm {
-		sa.Offer(id, views[id])
+		if err := sa.Offer(id, views[id], 0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got := sa.Finalize(dst)
-	assertBitIdentical(t, "streamed/shuffled", got, want)
-	if sa.PeakShardBytes() <= 0 {
-		t.Fatalf("peak shard bytes %d after a dense round", sa.PeakShardBytes())
+	res, err := sa.Finalize(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Path != PathSharded {
+		t.Fatal("Plan: trimmed mean must take the sharded path")
+	}
+	assertBitIdentical(t, "streamed/shuffled", res.Out, want)
+	if res.PeakBytes <= 0 {
+		t.Fatalf("peak shard bytes %d after a dense round", res.PeakBytes)
 	}
 }
 
@@ -121,8 +127,9 @@ func TestShardedAggregationMixedRows(t *testing.T) {
 	views := append(append([]compress.Payload{}, sparseViews...), denseViews...)
 
 	for _, rule := range []Rule{Mean{}, TrimmedMean{Trim: 2}, CoordinateMedian{}} {
-		want, _ := AggregatePayloads(rule, views)
-		got, sharded, _ := ShardAggregatePayloads(rule, nil, views, 3)
+		want, _, _ := AggregatePayloadsWithOracleInto(rule, nil, views, nil)
+		res := Plan{Rule: rule, Shards: 3}.run(nil, views, nil)
+		got, sharded := res.Out, res.Path == PathSharded
 		if !sharded {
 			t.Fatalf("%s: expected the sharded path", rule.Name())
 		}
@@ -146,7 +153,8 @@ func TestShardedAggregationMemoryBound(t *testing.T) {
 	denseBound := int64(8 * n * width) // the K·d/S block
 
 	dense, _ := encodeViews(t, "dense", vecs, 11)
-	_, sharded, peak := ShardAggregatePayloads(TrimmedMean{Beta: 0.2}, nil, dense, shards)
+	res := Plan{Rule: TrimmedMean{Beta: 0.2}, Shards: shards}.run(nil, dense, nil)
+	sharded, peak := res.Path == PathSharded, res.PeakBytes
 	if !sharded {
 		t.Fatal("expected the sharded path")
 	}
@@ -155,7 +163,8 @@ func TestShardedAggregationMemoryBound(t *testing.T) {
 	}
 
 	sparse, _ := encodeViews(t, "topk:0.01", vecs, 11)
-	_, sharded, peak = ShardAggregatePayloads(TrimmedMean{Beta: 0.2}, nil, sparse, shards)
+	res = Plan{Rule: TrimmedMean{Beta: 0.2}, Shards: shards}.run(nil, sparse, nil)
+	sharded, peak = res.Path == PathSharded, res.PeakBytes
 	if !sharded {
 		t.Fatal("expected the sharded path")
 	}
@@ -173,12 +182,15 @@ func TestShardedAggregationAbort(t *testing.T) {
 	vecs := randomVecs(r, 4, d)
 	views, _ := encodeViews(t, "dense", vecs, 13)
 
-	sa, ok := NewSharded(CoordinateMedian{}, d, 4, 4)
-	if !ok {
-		t.Fatal("NewSharded: median must be shardable")
+	sa := Plan{Rule: CoordinateMedian{}, Shards: 4}.Start(d, 4)
+	if sa.tree == nil {
+		t.Fatal("Plan: median must take the sharded path")
 	}
-	sa.Offer(0, views[0])
-	sa.Offer(1, views[1])
+	for id := 0; id < 2; id++ {
+		if err := sa.Offer(id, views[id], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sa.Abort()
 	sa.Abort() // idempotent
 }
@@ -193,23 +205,23 @@ func TestShardedAggregationDispatchEscapeHatches(t *testing.T) {
 	vecs := randomVecs(r, 5, d)
 	views, _ := encodeViews(t, "topk:0.25", vecs, 17)
 
-	if ShardableRule(NoFuse{TrimmedMean{Beta: 0.2}}) {
+	if PerCoordinate(NoFuse{TrimmedMean{Beta: 0.2}}) {
 		t.Fatal("NoFuse must hide the sharded path")
 	}
-	got, sharded, _ := ShardAggregatePayloads(NoFuse{TrimmedMean{Beta: 0.2}}, nil, views, 4)
-	if sharded {
+	res := Plan{Rule: NoFuse{TrimmedMean{Beta: 0.2}}, Shards: 4}.run(nil, views, nil)
+	if res.Path == PathSharded {
 		t.Fatal("NoFuse: expected the unsharded fallback")
 	}
-	want, _ := AggregatePayloads(NoFuse{TrimmedMean{Beta: 0.2}}, views)
-	assertBitIdentical(t, "nofuse", got, want)
+	want, _, _ := AggregatePayloadsWithOracleInto(NoFuse{TrimmedMean{Beta: 0.2}}, nil, views, nil)
+	assertBitIdentical(t, "nofuse", res.Out, want)
 
-	if _, ok := NewSharded(Mean{}, d, 1, 5); ok {
+	if (Plan{Rule: Mean{}, Shards: 1}).Start(d, 5).tree != nil {
 		t.Fatal("a single shard must fall back to the unsharded path")
 	}
-	got, sharded, _ = ShardAggregatePayloads(Mean{}, nil, views, 1)
-	if sharded {
+	res = Plan{Rule: Mean{}, Shards: 1}.run(nil, views, nil)
+	if res.Path == PathSharded {
 		t.Fatal("shards=1: expected the unsharded path")
 	}
-	want, _ = AggregatePayloads(Mean{}, views)
-	assertBitIdentical(t, "oneshard", got, want)
+	want, _, _ = AggregatePayloadsWithOracleInto(Mean{}, nil, views, nil)
+	assertBitIdentical(t, "oneshard", res.Out, want)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fedms/internal/compress"
 	"fedms/internal/randx"
 )
 
@@ -25,6 +26,17 @@ func stalenessWeights(r *randx.RNG, n, maxStale int) []float64 {
 		w[i] = 1 / float64(1+r.IntN(maxStale+1))
 	}
 	return w
+}
+
+// weightedRows aggregates dense vectors through the weighted kernel's
+// dense-rows driver: zero-copy DensePayload views, weights in order.
+func weightedRows(rule Rule, vecs [][]float64, weights []float64) []float64 {
+	ps := make([]compress.Payload, len(vecs))
+	for i, v := range vecs {
+		ps[i] = compress.DensePayload(v)
+	}
+	out, _ := AggregateWeightedPayloads(rule, nil, ps, weights)
+	return out
 }
 
 // TestWeightedAggregationIdentityAtWeightOne is the weighted tier's
@@ -63,18 +75,19 @@ func TestWeightedAggregationIdentityAtWeightOne(t *testing.T) {
 						rule := WithWorkers(raw, workers)
 						label := spec + "/" + rule.Name() + "/d=" + itoa(d) + "/n=" + itoa(tc.n) + "/w=" + itoa(workers)
 
-						want := AggregateInto(rule, nil, vecs)
-						got := AggregateWeighted(rule, nil, vecs, ones)
+						want := rule.Aggregate(vecs)
+						got := weightedRows(rule, vecs, ones)
 						assertBitIdentical(t, label+"/dense-kernel", got, want)
 
-						wantP, _ := AggregatePayloadsInto(rule, nil, views)
+						wantP, _, _ := AggregatePayloadsWithOracleInto(rule, nil, views, nil)
 						gotP, fused := AggregateWeightedPayloads(rule, nil, views, ones)
 						if !fused {
 							t.Fatalf("%s: weighted payload path not fused", label)
 						}
 						assertBitIdentical(t, label+"/payload-kernel", gotP, wantP)
 
-						gotS, sharded, _ := ShardAggregateWeightedPayloads(rule, nil, views, ones, 4)
+						resS := Plan{Rule: rule, Shards: 4}.run(nil, views, ones)
+						gotS, sharded := resS.Out, resS.Path == PathSharded
 						if !sharded {
 							t.Fatalf("%s: weighted sharded path not taken", label)
 						}
@@ -102,13 +115,13 @@ func TestWeightedAggregationPathsAgree(t *testing.T) {
 				rules := []Rule{Mean{}, TrimmedMean{Beta: 0.2, Workers: 2}, CoordinateMedian{Workers: 2}}
 				for _, rule := range rules {
 					label := spec + "/" + rule.Name() + "/n=" + itoa(n) + "/d=" + itoa(d)
-					want := AggregateWeighted(rule, nil, dense, weights)
+					want := weightedRows(rule, dense, weights)
 					got, fused := AggregateWeightedPayloads(rule, nil, views, weights)
 					if !fused {
 						t.Fatalf("%s: not fused", label)
 					}
 					assertBitIdentical(t, label+"/payload", got, want)
-					gotS, _, _ := ShardAggregateWeightedPayloads(rule, nil, views, weights, 3)
+					gotS := Plan{Rule: rule, Shards: 3}.run(nil, views, weights).Out
 					assertBitIdentical(t, label+"/sharded", gotS, want)
 				}
 			}
@@ -121,7 +134,7 @@ func TestWeightedAggregationPathsAgree(t *testing.T) {
 func TestWeightedMeanMatchesClosedForm(t *testing.T) {
 	vecs := [][]float64{{2, 10}, {4, 20}}
 	weights := []float64{1, 0.5}
-	got := AggregateWeighted(Mean{}, nil, vecs, weights)
+	got := weightedRows(Mean{}, vecs, weights)
 	want0 := (1*2 + 0.5*4) / 1.5
 	want1 := (1*10 + 0.5*20) / 1.5
 	// The kernel multiplies by the reciprocal (like VecMean), so allow
@@ -140,13 +153,13 @@ func TestWeightedTrimmedMeanDownWeightsStale(t *testing.T) {
 	vecs := [][]float64{{1}, {2}, {3}, {4}, {5}}
 	fresh := onesWeights(5)
 	rule := TrimmedMean{Beta: 0.2}
-	got := AggregateWeighted(rule, nil, vecs, fresh)
+	got := weightedRows(rule, vecs, fresh)
 	if got[0] != 3 {
 		t.Fatalf("weight-1 trimmed mean = %v, want 3", got[0])
 	}
 	// Staling the "4" input halves its pull: (2 + 3 + 0.5*4) / 2.5 = 2.8.
 	stale := []float64{1, 1, 1, 0.5, 1}
-	got = AggregateWeighted(rule, nil, vecs, stale)
+	got = weightedRows(rule, vecs, stale)
 	if math.Abs(got[0]-2.8) > 1e-15 {
 		t.Fatalf("stale-weighted trimmed mean = %v, want 2.8", got[0])
 	}
@@ -158,13 +171,13 @@ func TestWeightedTrimmedMeanDownWeightsStale(t *testing.T) {
 func TestWeightedMedianCrossesHalfWeight(t *testing.T) {
 	// Weights 3,1,1 over values 1,2,3: half = 2.5, cum crosses at the
 	// first value.
-	got := AggregateWeighted(CoordinateMedian{}, nil, [][]float64{{1}, {2}, {3}}, []float64{3, 1, 1})
+	got := weightedRows(CoordinateMedian{}, [][]float64{{1}, {2}, {3}}, []float64{3, 1, 1})
 	if got[0] != 1 {
 		t.Fatalf("weighted median = %v, want 1", got[0])
 	}
 	// Weights 1,1 over values 1,3: cum hits exactly half at the first
 	// value → midpoint 2, the unweighted even-n behavior.
-	got = AggregateWeighted(CoordinateMedian{}, nil, [][]float64{{1}, {3}}, []float64{1, 1})
+	got = weightedRows(CoordinateMedian{}, [][]float64{{1}, {3}}, []float64{1, 1})
 	if got[0] != 2 {
 		t.Fatalf("weighted median tie = %v, want 2", got[0])
 	}
@@ -187,16 +200,18 @@ func TestWeightedRejectsBadWeights(t *testing.T) {
 					t.Errorf("case %d: weights %v accepted, want panic", i, w)
 				}
 			}()
-			AggregateWeighted(Mean{}, nil, vecs, w)
+			weightedRows(Mean{}, vecs, w)
 		}()
 	}
 }
 
-// TestIsWeighted pins which rules the async scheduler may use.
-func TestIsWeighted(t *testing.T) {
+// TestPerCoordinate pins which rules have the per-coordinate (fused,
+// sharded and weighted) kernels — the rules the async scheduler may
+// use.
+func TestPerCoordinate(t *testing.T) {
 	for _, r := range []Rule{Mean{}, TrimmedMean{}, CoordinateMedian{}} {
-		if !IsWeighted(r) {
-			t.Errorf("IsWeighted(%s) = false, want true", r.Name())
+		if !PerCoordinate(r) {
+			t.Errorf("PerCoordinate(%s) = false, want true", r.Name())
 		}
 	}
 	for _, name := range RuleNames() {
@@ -206,12 +221,12 @@ func TestIsWeighted(t *testing.T) {
 		}
 		switch r.(type) {
 		case Mean, TrimmedMean, CoordinateMedian:
-			if !IsWeighted(r) {
-				t.Errorf("IsWeighted(%s) = false, want true", name)
+			if !PerCoordinate(r) {
+				t.Errorf("PerCoordinate(%s) = false, want true", name)
 			}
 		default:
-			if IsWeighted(r) {
-				t.Errorf("IsWeighted(%s) = true, want false", name)
+			if PerCoordinate(r) {
+				t.Errorf("PerCoordinate(%s) = true, want false", name)
 			}
 		}
 	}

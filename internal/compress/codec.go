@@ -341,7 +341,7 @@ func (sp Spec) NewCodec(seed uint64) (Codec, error) {
 	var c Codec
 	switch sp.Kind {
 	case "", "dense":
-		return denseCodec{}, nil
+		return DenseCodec, nil
 	case "topk":
 		c = &topkCodec{name: Spec{Kind: "topk", Ratio: sp.Ratio}.String(), ratio: sp.Ratio}
 	case "randk":
@@ -374,6 +374,10 @@ func (sp Spec) EncodeDecode(v []float64) ([]float64, int, error) {
 
 // ---------------------------------------------------------------------------
 // Codec implementations
+
+// DenseCodec is the identity codec, the zero Spec's. It keeps no
+// state, so one value serves every caller.
+var DenseCodec Codec = denseCodec{}
 
 // denseCodec is the identity: payload is the raw little-endian floats.
 type denseCodec struct{}
@@ -435,7 +439,7 @@ func (c *topkCodec) sparsify(v []float64, k int, pick []int) {
 }
 
 // randkCodec samples a fresh index set each call from a per-instance
-// stream, scaling kept values by d/k like RandK.
+// stream, scaling kept values by d/k so the estimate stays unbiased.
 type randkCodec struct {
 	name  string
 	ratio float64

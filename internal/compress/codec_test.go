@@ -129,32 +129,32 @@ func TestCodecRoundTripAllSpecs(t *testing.T) {
 
 func TestDecodeSparseRejectsDuplicateIndices(t *testing.T) {
 	s := Sparse{Dim: 10, Indices: []uint32{3, 3}, Values: []float64{1, 2}}
-	if _, err := DecodeSparse(s.Encode()); !errors.Is(err, ErrPayload) {
+	if _, err := DecodeSparse(s.AppendEncode(nil)); !errors.Is(err, ErrPayload) {
 		t.Fatalf("duplicate indices accepted: %v", err)
 	}
 }
 
 func TestDecodeSparseRejectsOutOfOrderIndices(t *testing.T) {
 	s := Sparse{Dim: 10, Indices: []uint32{5, 2}, Values: []float64{1, 2}}
-	if _, err := DecodeSparse(s.Encode()); !errors.Is(err, ErrPayload) {
+	if _, err := DecodeSparse(s.AppendEncode(nil)); !errors.Is(err, ErrPayload) {
 		t.Fatalf("out-of-order indices accepted: %v", err)
 	}
 }
 
 func TestDecodeSparseRejectsOutOfRangeIndex(t *testing.T) {
 	s := Sparse{Dim: 10, Indices: []uint32{2, 10}, Values: []float64{1, 2}}
-	if _, err := DecodeSparse(s.Encode()); !errors.Is(err, ErrPayload) {
+	if _, err := DecodeSparse(s.AppendEncode(nil)); !errors.Is(err, ErrPayload) {
 		t.Fatalf("out-of-range index accepted: %v", err)
 	}
 }
 
 func TestDecodeSparseAcceptsStrictlyIncreasing(t *testing.T) {
 	s := Sparse{Dim: 10, Indices: []uint32{0, 4, 9}, Values: []float64{1, 2, 3}}
-	got, err := DecodeSparse(s.Encode())
+	got, err := DecodeSparse(s.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := got.Dense()
+	dense := sparseDense(got)
 	if dense[0] != 1 || dense[4] != 2 || dense[9] != 3 {
 		t.Fatalf("scatter wrong: %v", dense)
 	}

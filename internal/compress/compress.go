@@ -2,7 +2,9 @@
 // complement Fed-MS's sparse uploading on the communication-efficiency
 // axis: top-k and random-k sparsification, uniform quantization, and an
 // error-feedback accumulator that makes biased compressors safe to use
-// across rounds.
+// across rounds. Every scheme is a Codec built from a Spec (codec.go);
+// this file holds the sparse and quantized representations they encode
+// to.
 //
 // The paper's sparse upload reduces *how many* servers receive a model
 // (K uploads instead of K·P); these schemes reduce *how large* each
@@ -12,34 +14,9 @@ package compress
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"sort"
-
-	"fedms/internal/randx"
 )
-
-// Compressed is a compressed representation of a float64 vector.
-type Compressed interface {
-	// Dense reconstructs the (lossy) dense vector.
-	Dense() []float64
-	// DenseInto reconstructs into dst (len(dst) must equal the dim).
-	DenseInto(dst []float64)
-	// WireBytes is the serialized size in bytes.
-	WireBytes() int
-	// Encode serializes the representation.
-	Encode() []byte
-	// AppendEncode serializes onto dst and returns the extended buffer,
-	// so steady-state encoders can reuse one buffer across frames.
-	AppendEncode(dst []byte) []byte
-}
-
-// Compressor maps dense vectors to compressed representations.
-type Compressor interface {
-	Name() string
-	Compress(v []float64) Compressed
-}
 
 // ---------------------------------------------------------------------------
 // Sparse representations (top-k, random-k)
@@ -51,31 +28,8 @@ type Sparse struct {
 	Values  []float64
 }
 
-// Dense implements Compressed.
-func (s *Sparse) Dense() []float64 {
-	out := make([]float64, s.Dim)
-	s.DenseInto(out)
-	return out
-}
-
-// DenseInto implements Compressed.
-func (s *Sparse) DenseInto(dst []float64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i, idx := range s.Indices {
-		dst[idx] = s.Values[i]
-	}
-}
-
-// WireBytes implements Compressed: 8 bytes header + 4 per index + 8 per
-// value.
-func (s *Sparse) WireBytes() int { return 8 + len(s.Indices)*12 }
-
-// Encode implements Compressed.
-func (s *Sparse) Encode() []byte { return s.AppendEncode(nil) }
-
-// AppendEncode implements Compressed.
+// AppendEncode serializes the sparse vector onto dst: dim, count, the
+// indices, then the values, all little-endian.
 func (s *Sparse) AppendEncode(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(s.Dim))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Indices)))
@@ -119,29 +73,17 @@ func DecodeSparse(buf []byte) (*Sparse, error) {
 	return s, nil
 }
 
-// TopK keeps the k entries with the largest magnitude. It is the
-// classic biased sparsifier; combine with ErrorFeedback for
+// TopK sizes the top-k and random-k selections: the k entries with
+// the largest magnitude (or k random ones) survive. Top-k is the
+// classic biased sparsifier; the "ef+" codecs add error feedback for
 // convergence across rounds.
 type TopK struct {
-	// K is the number of entries to keep; if zero, Ratio is used.
-	K int
-	// Ratio keeps ceil(Ratio*dim) entries (used when K == 0).
+	// Ratio keeps ceil(Ratio*dim) entries, at least one.
 	Ratio float64
 }
 
-// Name implements Compressor.
-func (t TopK) Name() string {
-	if t.K > 0 {
-		return fmt.Sprintf("topk(k=%d)", t.K)
-	}
-	return fmt.Sprintf("topk(ratio=%g)", t.Ratio)
-}
-
 func (t TopK) k(dim int) int {
-	k := t.K
-	if k == 0 {
-		k = int(math.Ceil(t.Ratio * float64(dim)))
-	}
+	k := int(math.Ceil(t.Ratio * float64(dim)))
 	if k < 1 {
 		k = 1
 	}
@@ -149,61 +91,6 @@ func (t TopK) k(dim int) int {
 		k = dim
 	}
 	return k
-}
-
-// Compress implements Compressor.
-func (t TopK) Compress(v []float64) Compressed {
-	k := t.k(len(v))
-	order := make([]int, len(v))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return math.Abs(v[order[a]]) > math.Abs(v[order[b]])
-	})
-	picked := order[:k]
-	sort.Ints(picked)
-	s := &Sparse{Dim: len(v), Indices: make([]uint32, k), Values: make([]float64, k)}
-	for i, idx := range picked {
-		s.Indices[i] = uint32(idx)
-		s.Values[i] = v[idx]
-	}
-	return s
-}
-
-// RandK keeps k uniformly random entries scaled by dim/k, which makes
-// the compressor unbiased in expectation.
-type RandK struct {
-	// K is the number of entries to keep; if zero, Ratio is used.
-	K int
-	// Ratio keeps ceil(Ratio*dim) entries (used when K == 0).
-	Ratio float64
-	// Seed drives the index selection (vary per round for fresh
-	// sampling).
-	Seed uint64
-}
-
-// Name implements Compressor.
-func (r RandK) Name() string {
-	if r.K > 0 {
-		return fmt.Sprintf("randk(k=%d)", r.K)
-	}
-	return fmt.Sprintf("randk(ratio=%g)", r.Ratio)
-}
-
-// Compress implements Compressor.
-func (r RandK) Compress(v []float64) Compressed {
-	k := TopK{K: r.K, Ratio: r.Ratio}.k(len(v))
-	rng := randx.New(r.Seed)
-	perm := randx.Perm(rng, len(v))[:k]
-	sort.Ints(perm)
-	scale := float64(len(v)) / float64(k)
-	s := &Sparse{Dim: len(v), Indices: make([]uint32, k), Values: make([]float64, k)}
-	for i, idx := range perm {
-		s.Indices[i] = uint32(idx)
-		s.Values[i] = v[idx] * scale
-	}
-	return s
 }
 
 // ---------------------------------------------------------------------------
@@ -219,16 +106,6 @@ type Quantized struct {
 	// bytes.
 	Codes []byte
 }
-
-// Dense implements Compressed.
-func (q *Quantized) Dense() []float64 {
-	out := make([]float64, q.Dim)
-	q.denseInto(out)
-	return out
-}
-
-// DenseInto implements Compressed.
-func (q *Quantized) DenseInto(dst []float64) { q.denseInto(dst) }
 
 func (q *Quantized) denseInto(dst []float64) { q.denseRange(dst, 0, q.Dim) }
 
@@ -256,13 +133,8 @@ func (q *Quantized) setCode(i int, code uint64) {
 	}
 }
 
-// WireBytes implements Compressed.
-func (q *Quantized) WireBytes() int { return 24 + len(q.Codes) }
-
-// Encode implements Compressed.
-func (q *Quantized) Encode() []byte { return q.AppendEncode(nil) }
-
-// AppendEncode implements Compressed.
+// AppendEncode serializes the quantized vector onto dst: dim, bits,
+// min and max, then the packed codes, all little-endian.
 func (q *Quantized) AppendEncode(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(q.Dim))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(q.Bits))
@@ -270,129 +142,3 @@ func (q *Quantized) AppendEncode(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(q.Max))
 	return append(dst, q.Codes...)
 }
-
-// DecodeQuantized parses a Quantized encoding.
-func DecodeQuantized(buf []byte) (*Quantized, error) {
-	if len(buf) < 24 {
-		return nil, errors.New("compress: quantized encoding too short")
-	}
-	q := &Quantized{
-		Dim:  int(binary.LittleEndian.Uint32(buf[0:])),
-		Bits: int(binary.LittleEndian.Uint32(buf[4:])),
-		Min:  math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
-		Max:  math.Float64frombits(binary.LittleEndian.Uint64(buf[16:])),
-	}
-	if q.Bits < 1 || q.Bits > 16 {
-		return nil, fmt.Errorf("compress: invalid bit width %d", q.Bits)
-	}
-	want := (q.Dim*q.Bits + 7) / 8
-	if len(buf) != 24+want {
-		return nil, fmt.Errorf("compress: quantized encoding length %d, want %d", len(buf), 24+want)
-	}
-	q.Codes = append([]byte(nil), buf[24:]...)
-	return q, nil
-}
-
-// Uniform quantizes each coordinate to Bits bits between the vector's
-// min and max.
-type Uniform struct {
-	// Bits per coordinate, in [1, 16] (default 8).
-	Bits int
-}
-
-// Name implements Compressor.
-func (u Uniform) Name() string { return fmt.Sprintf("quantize(bits=%d)", u.bits()) }
-
-func (u Uniform) bits() int {
-	if u.Bits == 0 {
-		return 8
-	}
-	return u.Bits
-}
-
-// Compress implements Compressor.
-func (u Uniform) Compress(v []float64) Compressed {
-	bits := u.bits()
-	if bits < 1 || bits > 16 {
-		panic(fmt.Sprintf("compress: invalid bit width %d", bits))
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range v {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	if len(v) == 0 {
-		lo, hi = 0, 0
-	}
-	q := &Quantized{
-		Dim:   len(v),
-		Bits:  bits,
-		Min:   lo,
-		Max:   hi,
-		Codes: make([]byte, (len(v)*bits+7)/8),
-	}
-	levels := float64((uint64(1) << bits) - 1)
-	span := hi - lo
-	for i, x := range v {
-		var code uint64
-		if span > 0 {
-			code = uint64(math.Round((x - lo) / span * levels))
-		}
-		q.setCode(i, code)
-	}
-	return q
-}
-
-// ---------------------------------------------------------------------------
-// Error feedback
-
-// ErrorFeedback wraps a (possibly biased) compressor with residual
-// accumulation: each round it compresses v + residual and keeps the
-// compression error for the next round, which restores convergence for
-// biased sparsifiers like TopK (Stich et al., 2018).
-type ErrorFeedback struct {
-	inner    Compressor
-	residual []float64
-}
-
-// NewErrorFeedback wraps inner.
-func NewErrorFeedback(inner Compressor) *ErrorFeedback {
-	return &ErrorFeedback{inner: inner}
-}
-
-// Name implements Compressor.
-func (e *ErrorFeedback) Name() string { return "ef(" + e.inner.Name() + ")" }
-
-// Compress implements Compressor.
-func (e *ErrorFeedback) Compress(v []float64) Compressed {
-	if e.residual == nil {
-		e.residual = make([]float64, len(v))
-	}
-	if len(e.residual) != len(v) {
-		panic("compress: ErrorFeedback dimension changed")
-	}
-	corrected := make([]float64, len(v))
-	for i := range v {
-		corrected[i] = v[i] + e.residual[i]
-	}
-	c := e.inner.Compress(corrected)
-	dense := c.Dense()
-	for i := range v {
-		e.residual[i] = corrected[i] - dense[i]
-	}
-	return c
-}
-
-// Residual returns the current accumulated error (read-only copy).
-func (e *ErrorFeedback) Residual() []float64 {
-	return append([]float64(nil), e.residual...)
-}
-
-var (
-	_ Compressor = TopK{}
-	_ Compressor = RandK{}
-	_ Compressor = Uniform{}
-	_ Compressor = (*ErrorFeedback)(nil)
-	_ Compressed = (*Sparse)(nil)
-	_ Compressed = (*Quantized)(nil)
-)

@@ -32,10 +32,15 @@ func FuzzParsePayload(f *testing.F) {
 		return s.AppendEncode(nil)
 	}
 	valid := sparse(4, []uint32{0, 2}, []float64{1, -2})
+	q4, err := compress.Spec{Kind: "q", Bits: 4}.NewCodec(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, quantized := q4.AppendEncode(nil, []float64{0.5, -0.5, 2})
 
 	// Accepted shapes, one per encoding family.
 	f.Add(byte(compress.EncSparse), valid)
-	f.Add(byte(compress.EncQuantized), compress.Uniform{Bits: 4}.Compress([]float64{0.5, -0.5, 2}).Encode())
+	f.Add(byte(compress.EncQuantized), quantized)
 	f.Add(byte(compress.EncDense), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f})
 	f.Add(byte(compress.EncSparse), sparse(4, nil, nil)) // empty support
 
@@ -113,12 +118,12 @@ func FuzzParsePayload(f *testing.F) {
 
 		views := []compress.Payload{view, view, view}
 		dense := [][]float64{ref, ref, ref}
-		for _, rule := range []aggregate.PayloadRule{
+		for _, rule := range []aggregate.Rule{
 			aggregate.Mean{},
 			aggregate.TrimmedMean{Trim: 1},
 			aggregate.CoordinateMedian{},
 		} {
-			got := rule.AggregatePayloads(views)
+			got, _, _ := aggregate.AggregatePayloadsWithOracleInto(rule, nil, views, nil)
 			want := rule.Aggregate(dense)
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {

@@ -5,7 +5,8 @@ import "testing"
 // FuzzDecodeSparse asserts the sparse decoder never panics and its
 // accepted outputs reconstruct without index panics.
 func FuzzDecodeSparse(f *testing.F) {
-	f.Add(TopK{K: 2}.Compress([]float64{1, -2, 3}).Encode())
+	_, seed := encodeSpec(f, "topk:0.6", 0, []float64{1, -2, 3})
+	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 1, 0, 0, 0})
 
@@ -14,7 +15,7 @@ func FuzzDecodeSparse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		dense := s.Dense()
+		dense := sparseDense(s)
 		if len(dense) != s.Dim {
 			t.Fatal("dense length mismatch")
 		}
@@ -23,15 +24,16 @@ func FuzzDecodeSparse(f *testing.F) {
 
 // FuzzDecodeQuantized asserts the quantized decoder never panics.
 func FuzzDecodeQuantized(f *testing.F) {
-	f.Add(Uniform{Bits: 4}.Compress([]float64{0.5, -0.5, 2}).Encode())
+	_, seed := encodeSpec(f, "q4", 0, []float64{0.5, -0.5, 2})
+	f.Add(seed)
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := DecodeQuantized(data)
+		dense, err := DecodePayload(EncQuantized, data)
 		if err != nil {
 			return
 		}
-		if len(q.Dense()) != q.Dim {
+		if dim, _ := PayloadDim(EncQuantized, data); len(dense) != dim {
 			t.Fatal("dense length mismatch")
 		}
 	})

@@ -8,8 +8,8 @@ import (
 )
 
 // Payload is a validated, structured view of one encoded model: the
-// no-densify access path the fused aggregation rules consume
-// (aggregate.PayloadRule). A view is produced either by ParsePayload
+// no-densify access path the fused aggregation kernels consume
+// (aggregate.Plan). A view is produced either by ParsePayload
 // from tagged wire bytes or by DensePayload from an in-memory vector,
 // and every accessor reconstructs exactly the coordinates
 // DecodePayloadInto would have produced — bit-identical, which is what
@@ -67,6 +67,11 @@ func ParsePayload(enc Encoding, payload []byte) (Payload, error) {
 func DensePayload(v []float64) Payload {
 	return Payload{enc: EncDense, dim: len(v), vec: v}
 }
+
+// Vec returns the slice a DensePayload view wraps, without copying;
+// ok is false for views parsed from wire bytes. Callers must not
+// mutate the result.
+func (p *Payload) Vec() (v []float64, ok bool) { return p.vec, p.vec != nil }
 
 // Encoding returns the payload's wire tag (EncDense for DensePayload
 // wrappers).

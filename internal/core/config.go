@@ -124,7 +124,7 @@ type Config struct {
 	// after filtering). Clamped to K.
 	EvalClients int
 	// Shards, when > 1, routes every server-side aggregation through the
-	// two-tier shard tree (aggregate.Sharded): the coordinate space is
+	// two-tier shard tree (a sharded aggregate.Plan): the coordinate space is
 	// partitioned into this many shards, uploads stream through bounded
 	// per-shard queues, and each shard reduces its column range on its
 	// own goroutine, bounding per-shard accumulator memory at O(K·d/S).
@@ -145,7 +145,7 @@ type Config struct {
 	// with Window >= sched.DefaultLatencyScale every upload arrives
 	// fresh and the trajectory is bit-identical to Async=false.
 	// Requires a ServerFilter with a weighted kernel
-	// (aggregate.IsWeighted: mean, trimmed_mean, median).
+	// (aggregate.PerCoordinate: mean, trimmed_mean, median).
 	Async bool
 	// Window is the async collection window in virtual time (default
 	// sched.DefaultLatencyScale/4). An upload with virtual latency L
@@ -308,7 +308,7 @@ func (c Config) Validate() (Config, error) {
 		if c.Staleness < 0 {
 			return c, fmt.Errorf("core: Staleness must be non-negative, got %d", c.Staleness)
 		}
-		if !aggregate.IsWeighted(c.ServerFilter) {
+		if !aggregate.PerCoordinate(c.ServerFilter) {
 			return c, fmt.Errorf("core: Async requires a ServerFilter with a weighted kernel (mean, trimmed_mean, median), got %s", c.ServerFilter.Name())
 		}
 	} else {

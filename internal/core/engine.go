@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -347,114 +345,75 @@ func (e *Engine) RunRound() RoundStats {
 	}
 
 	// ---- Model aggregation stage (lines 3-4, 11) ----
+	// Every server aggregates through one aggregate.Plan. The sync
+	// lifecycle's members are its assigned clients; the async lifecycle
+	// aggregates what the round's window delivered — this round's
+	// on-time sends plus spill records due now, stale ones down-weighted
+	// before the robust rule — in (client, origin) order.
 	assign := e.uploadAssignment(t, active)
+	var arrivals [][]asyncArrival
+	if e.cfg.Async {
+		arrivals = e.asyncArrivals(t, assign, views, uploads, &st)
+	}
+	plan := aggregate.Plan{Rule: e.cfg.ServerFilter, Shards: e.cfg.Shards, Oracle: e.oracle}
+	var tally aggregate.Tally
 	aggs := make([][]float64, e.cfg.Servers)
-	var aggFusedN, aggFallbackN, aggShardedN, oracleServerN int
-	var shardPeak int64
 	if e.aggBufs == nil {
 		e.aggBufs = make([][]float64, e.cfg.Servers)
 	}
-	shardable := e.cfg.Shards > 1 && aggregate.ShardableRule(e.cfg.ServerFilter)
-	if e.cfg.Async {
-		// Async lifecycle: the round aggregates what its window
-		// delivered — this round's on-time sends plus spill records due
-		// now, stale ones down-weighted before the robust rule.
-		arrivals := e.asyncArrivals(t, assign, views, uploads, &st)
-		for i := 0; i < e.cfg.Servers; i++ {
-			members := arrivals[i]
-			if len(members) == 0 {
-				aggs[i] = append([]float64(nil), e.lastAgg[i]...)
-			} else {
-				ordered := make([]compress.Payload, len(members))
-				weights := make([]float64, len(members))
-				for j, m := range members {
-					ordered[j], weights[j] = m.view, m.weight
-				}
-				var dst []float64
-				if !e.cfg.IsByzantine(i) {
-					dst = e.aggBufs[i]
-				}
-				if shardable {
-					var peak int64
-					aggs[i], _, peak = aggregate.ShardAggregateWeightedPayloads(e.cfg.ServerFilter, dst, ordered, weights, e.cfg.Shards)
-					aggShardedN++
-					if peak > shardPeak {
-						shardPeak = peak
-					}
+	for i := 0; i < e.cfg.Servers; i++ {
+		n := len(assign[i])
+		if e.cfg.Async {
+			n = len(arrivals[i])
+		}
+		if n == 0 {
+			// No uploads this round: the PS re-disseminates its last
+			// aggregate (it has nothing newer). With K >> P this is
+			// rare under sparse upload.
+			aggs[i] = append([]float64(nil), e.lastAgg[i]...)
+		} else {
+			// Benign servers aggregate into their round-persistent
+			// buffer; Byzantine servers get a fresh vector because the
+			// adaptive-adversary history retains theirs.
+			var dst []float64
+			if !e.cfg.IsByzantine(i) {
+				dst = e.aggBufs[i]
+			}
+			s := plan.Start(e.dim, n)
+			for j := 0; j < n; j++ {
+				var err error
+				if e.cfg.Async {
+					err = s.Offer(j, arrivals[i][j].view, arrivals[i][j].weight)
 				} else {
-					var fused bool
-					aggs[i], fused = aggregate.AggregateWeightedPayloads(e.cfg.ServerFilter, dst, ordered, weights)
-					if fused {
-						aggFusedN++
-					} else {
-						aggFallbackN++
-					}
+					k := assign[i][j]
+					err = s.Offer(k, views[k], 0)
 				}
-				if dst != nil {
-					e.aggBufs[i] = aggs[i]
+				if err != nil {
+					panic(fmt.Sprintf("core: server %d: %v", i, err))
 				}
 			}
-			e.lastAgg[i] = aggs[i]
-		}
-		// Communication is counted at send time (the client pays for
-		// the upload whether or not it lands inside a window), so the
-		// paper's cost measure is lifecycle-independent.
-		for _, members := range assign {
-			st.UploadFloats += len(members) * e.dim
-			for _, k := range members {
-				st.UploadBytes += uploadBytes[k]
+			res, err := s.Finalize(dst)
+			if err != nil {
+				panic(fmt.Sprintf("core: server %d: %v", i, err))
+			}
+			aggs[i] = res.Out
+			tally.Add(res)
+			if dst != nil {
+				e.aggBufs[i] = aggs[i]
 			}
 		}
+		e.lastAgg[i] = aggs[i]
+		// Communication is counted at send time (an async client pays
+		// for the upload whether or not it lands inside a window), so
+		// the paper's cost measure is lifecycle-independent.
+		st.UploadFloats += len(assign[i]) * e.dim
+		for _, k := range assign[i] {
+			st.UploadBytes += uploadBytes[k]
+		}
+	}
+	if e.cfg.Async {
 		st.SpillDepth = e.spill.Len()
 		st.SpillBytes = int(e.spill.MemBytes() + e.spill.DiskBytes())
-	} else {
-		for i := 0; i < e.cfg.Servers; i++ {
-			members := assign[i]
-			if len(members) == 0 {
-				// No uploads this round: the PS re-disseminates its last
-				// aggregate (it has nothing newer). With K >> P this is
-				// rare under sparse upload.
-				aggs[i] = append([]float64(nil), e.lastAgg[i]...)
-			} else {
-				ordered := make([]compress.Payload, 0, len(members))
-				for _, k := range members {
-					ordered = append(ordered, views[k])
-				}
-				// Benign servers aggregate into their round-persistent
-				// buffer; Byzantine servers get a fresh vector because the
-				// adaptive-adversary history retains theirs.
-				var dst []float64
-				if !e.cfg.IsByzantine(i) {
-					dst = e.aggBufs[i]
-				}
-				if shardable {
-					var peak int64
-					aggs[i], _, peak = aggregate.ShardAggregatePayloads(e.cfg.ServerFilter, dst, ordered, e.cfg.Shards)
-					aggShardedN++
-					if peak > shardPeak {
-						shardPeak = peak
-					}
-				} else {
-					var fused bool
-					var evals int
-					aggs[i], fused, evals = aggregate.AggregatePayloadsWithOracleInto(e.cfg.ServerFilter, dst, ordered, e.oracle)
-					if fused {
-						aggFusedN++
-					} else {
-						aggFallbackN++
-					}
-					oracleServerN += evals
-				}
-				if dst != nil {
-					e.aggBufs[i] = aggs[i]
-				}
-			}
-			e.lastAgg[i] = aggs[i]
-			st.UploadFloats += len(members) * e.dim
-			for _, k := range members {
-				st.UploadBytes += uploadBytes[k]
-			}
-		}
 	}
 	if e.obsOn {
 		now := time.Now()
@@ -535,14 +494,7 @@ func (e *Engine) RunRound() RoundStats {
 	st.Elapsed = time.Since(start)
 	if e.om != nil {
 		e.om.rounds.Inc()
-		e.om.aggFused.Add(int64(aggFusedN))
-		e.om.aggFallback.Add(int64(aggFallbackN))
-		e.om.aggSharded.Add(int64(aggShardedN))
-		if shardPeak > 0 {
-			e.om.shardPeakBytes.Set(shardPeak)
-		}
-		e.om.aggDecodeBytes.Add(int64(st.UploadBytes))
-		e.om.oracleServer.Add(int64(oracleServerN))
+		e.om.observeAgg(tally, st.UploadBytes)
 		if e.cfg.Async {
 			e.om.winFresh.Add(int64(st.FreshUploads))
 			e.om.winStale.Add(int64(st.StaleUploads))
@@ -678,7 +630,8 @@ func (e *Engine) asyncArrivals(t int, assign [][]int, views []compress.Payload, 
 			if e.codecs != nil {
 				rec.Enc, rec.Data = byte(e.encs[k]), e.encBufs[k]
 			} else {
-				rec.Enc, rec.Data = byte(compress.EncDense), denseWire(uploads[k])
+				enc, data := compress.DenseCodec.AppendEncode(make([]byte, 0, 8*e.dim), uploads[k])
+				rec.Enc, rec.Data = byte(enc), data
 			}
 			if err := e.spill.Add(rec); err != nil {
 				panic(fmt.Sprintf("core: spill add: %v", err))
@@ -695,17 +648,6 @@ func (e *Engine) asyncArrivals(t int, assign [][]int, views []compress.Payload, 
 		})
 	}
 	return arrivals
-}
-
-// denseWire serializes a dense model to the codec wire format
-// (little-endian float64s), so a spilled dense upload round-trips
-// bit-exactly through compress.ParsePayload(EncDense, ·).
-func denseWire(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	return b
 }
 
 // Close releases the async spill buffer's disk segment; a no-op in

@@ -1,6 +1,9 @@
 package core
 
-import "fedms/internal/obs"
+import (
+	"fedms/internal/aggregate"
+	"fedms/internal/obs"
+)
 
 // engineMetrics holds the engine's registry collectors: a round
 // counter, one latency histogram per round stage, and the fused
@@ -70,4 +73,18 @@ func newEngineMetrics(reg *obs.Registry, rule string) *engineMetrics {
 		filter:         h("filter"),
 		eval:           h("eval"),
 	}
+}
+
+// observeAgg exports one round's server aggregations: the per-path
+// counters, the shard peak and the oracle evals, all derived from the
+// plans' Results, plus the payload bytes the stage consumed.
+func (m *engineMetrics) observeAgg(t aggregate.Tally, decodeBytes int) {
+	m.aggFused.Add(int64(t.Fused))
+	m.aggFallback.Add(int64(t.Fallback))
+	m.aggSharded.Add(int64(t.Sharded))
+	if t.PeakBytes > 0 {
+		m.shardPeakBytes.Set(t.PeakBytes)
+	}
+	m.aggDecodeBytes.Add(int64(decodeBytes))
+	m.oracleServer.Add(int64(t.Evals))
 }

@@ -258,12 +258,12 @@ type recvResult struct {
 	err     error
 }
 
-// recvModel reads PS i's round-r global model, skipping corrupt and
-// stale frames in tolerant mode. When this round's model was lost and
+// recvModel reads PS i's round-r global model of dimension dim,
+// skipping corrupt, stale and wrong-dimension frames in tolerant mode. When this round's model was lost and
 // the PS has already broadcast a later round, the future frame is
 // parked in *pending (consumed first on the next call) instead of
 // condemning a healthy connection.
-func recvModel(conn *transport.Conn, pending **transport.Message, psID, round int, tolerant bool, skipped *obs.Counter) recvResult {
+func recvModel(conn *transport.Conn, pending **transport.Message, psID, round, dim int, tolerant bool, skipped *obs.Counter) recvResult {
 	for tries := 0; tries < maxBadFrames; tries++ {
 		var m *transport.Message
 		var err error
@@ -304,9 +304,13 @@ func recvModel(conn *transport.Conn, pending **transport.Message, psID, round in
 				err: fmt.Errorf("unexpected %s (round %d) from PS %d", m.Type, m.Round, psID)}
 		}
 		pl, err := m.ModelPayload()
+		if err == nil && pl.Dim() != dim {
+			err = fmt.Errorf("model from PS %d has dim %d, want %d", psID, pl.Dim(), dim)
+		}
 		if err != nil {
-			// A checksummed frame with a malformed codec payload can only
-			// come from a Byzantine PS; treat it like a corrupt frame.
+			// A checksummed frame with a malformed codec payload or a
+			// wrong-length model can only come from a Byzantine PS;
+			// treat it like a corrupt frame.
 			if tolerant {
 				skipped.Inc()
 				continue
@@ -358,6 +362,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		return nil, fmt.Errorf("node: client %d has no servers", cfg.ID)
 	}
 	p := len(cfg.Servers)
+	dim := cfg.Learner.NumParams()
 	if cfg.MinModels > p {
 		return nil, fmt.Errorf("node: client %d MinModels %d exceeds P=%d", cfg.ID, cfg.MinModels, p)
 	}
@@ -542,7 +547,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 				if cfg.Codec != nil {
 					b.enc, b.data = uploadEnc, append([]byte(nil), encBuf...)
 				} else {
-					b.enc, b.data = compress.EncDense, denseWire(params)
+					b.enc, b.data = compress.DenseCodec.AppendEncode(make([]byte, 0, 8*len(params)), params)
 				}
 				backlog = append(backlog, b)
 			}
@@ -645,7 +650,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 			wg.Add(1)
 			go func(i int, conn *transport.Conn) {
 				defer wg.Done()
-				results[i] = recvModel(conn, &pendings[i], i, round, tolerant, cm.framesSkipped)
+				results[i] = recvModel(conn, &pendings[i], i, round, dim, tolerant, cm.framesSkipped)
 			}(i, conn)
 		}
 		wg.Wait()
@@ -688,15 +693,8 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		// Model filter: trmean over the P' ≤ P received models, in
 		// ascending server order (bitwise engine parity when P' = P).
 		// The filter consumes the payload views directly — sparse or
-		// quantized downlinks are never densified per model; the fused
-		// kernels gather coordinates out of the views (bit-identical to
-		// decode-then-aggregate, see aggregate.PayloadRule).
-		models := make([]compress.Payload, 0, got)
-		for i := 0; i < p; i++ {
-			if pl, ok := received[i]; ok {
-				models = append(models, pl)
-			}
-		}
+		// quantized downlinks are never densified per model (see
+		// aggregate.Plan).
 		rule := cfg.Filter
 		if got < p {
 			var err error
@@ -704,7 +702,19 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 				return stats, fmt.Errorf("node: client %d round %d: %w", cfg.ID, round, err)
 			}
 		}
-		filtered, filterFused, oracleEvals := aggregate.AggregatePayloadsWithOracle(rule, models, cfg.LossOracle)
+		filter := aggregate.Plan{Rule: rule, Oracle: cfg.LossOracle}.Start(dim, got)
+		for i := 0; i < p; i++ {
+			if pl, ok := received[i]; ok {
+				if err := filter.Offer(i, pl, 0); err != nil {
+					return stats, fmt.Errorf("node: client %d round %d: %w", cfg.ID, round, err)
+				}
+			}
+		}
+		res, err := filter.Finalize(nil)
+		if err != nil {
+			return stats, fmt.Errorf("node: client %d round %d: %w", cfg.ID, round, err)
+		}
+		filtered := res.Out
 		cfg.Learner.SetParams(filtered)
 		st.ModelsReceived = got
 		st.Degraded = got < p
@@ -736,13 +746,7 @@ func RunClient(cfg ClientConfig) ([]ClientRoundStats, error) {
 		}
 		cm.uploadBytes.Add(int64(st.UploadBytes))
 		cm.downloadBytes.Add(int64(st.DownloadBytes))
-		if filterFused {
-			cm.filterFused.Inc()
-		} else {
-			cm.filterFallback.Inc()
-		}
-		cm.filterDecodeBytes.Add(int64(st.DownloadBytes))
-		cm.oracleEvals.Add(int64(oracleEvals))
+		cm.observeFilter(res, st.DownloadBytes)
 		cm.recvWait.ObserveDuration(recvWait)
 		if cfg.TraceSink != nil {
 			degraded := 0.0

@@ -3,6 +3,7 @@ package node
 import (
 	"strconv"
 
+	"fedms/internal/aggregate"
 	"fedms/internal/obs"
 )
 
@@ -95,6 +96,20 @@ func newPSMetrics(reg *obs.Registry, id int, rule string) *psMetrics {
 	}
 }
 
+// observeAgg exports one round's aggregation, derived from the plan's
+// Result: its path counter, shard peak and oracle evals, plus the
+// payload bytes it consumed.
+func (m *psMetrics) observeAgg(t aggregate.Tally, decodeBytes int) {
+	m.aggFused.Add(int64(t.Fused))
+	m.aggFallback.Add(int64(t.Fallback))
+	m.aggSharded.Add(int64(t.Sharded))
+	if t.PeakBytes > 0 {
+		m.shardPeakBytes.Set(t.PeakBytes)
+	}
+	m.aggDecodeBytes.Add(int64(decodeBytes))
+	m.oracleEvals.Add(int64(t.Evals))
+}
+
 // clientMetrics is the client-side counterpart of psMetrics.
 type clientMetrics struct {
 	rounds            *obs.Counter
@@ -146,4 +161,17 @@ func newClientMetrics(reg *obs.Registry, id int, rule string) *clientMetrics {
 		uploadsDropped: c("uploads_dropped"),
 		backlogDepth:   reg.Gauge("fedms_client_backlog_depth" + l),
 	}
+}
+
+// observeFilter exports one round's model filter, derived from the
+// plan's Result: its path counter and oracle evals, plus the payload
+// bytes it consumed.
+func (m *clientMetrics) observeFilter(res aggregate.Result, decodeBytes int) {
+	if res.Path == aggregate.PathFused {
+		m.filterFused.Inc()
+	} else {
+		m.filterFallback.Inc()
+	}
+	m.filterDecodeBytes.Add(int64(decodeBytes))
+	m.oracleEvals.Add(int64(res.Evals))
 }

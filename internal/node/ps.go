@@ -25,11 +25,9 @@
 package node
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net"
 	"os"
 	"sort"
@@ -112,7 +110,7 @@ type PSConfig struct {
 	// Oracle evals are counted in Obs (fedms_ps_oracle_evals_total).
 	LossOracle aggregate.LossEval
 	// Shards, when > 1, streams uploads through the two-tier sharded
-	// aggregation tree (aggregate.Sharded): each upload is routed to S
+	// aggregation tree (a sharded aggregate.Plan): each upload is routed to S
 	// column-range shards as it clears the round barrier, so the server
 	// never materialises the K×d matrix — per-shard memory is O(K·d/S).
 	// Bit-identical to the unsharded rule for every value (the sharded
@@ -181,7 +179,7 @@ type PSConfig struct {
 	// expires, whichever is first; uploads up to Staleness rounds old
 	// are admitted with the deterministic down-weight sched.Weight
 	// applied before ServerRule (which must have a weighted kernel —
-	// see aggregate.IsWeighted); future-round frames spill to a
+	// see aggregate.PerCoordinate); future-round frames spill to a
 	// disk-backed buffer and replay when their round opens.
 	Async bool
 	// Window is the async per-round aggregation window. Defaults to
@@ -387,7 +385,7 @@ func NewPS(cfg PSConfig) (*PS, error) {
 		if cfg.Staleness < 0 {
 			return nil, fmt.Errorf("node: PS %d Staleness must be non-negative, got %d", cfg.ID, cfg.Staleness)
 		}
-		if !aggregate.IsWeighted(cfg.ServerRule) {
+		if !aggregate.PerCoordinate(cfg.ServerRule) {
 			return nil, fmt.Errorf("node: PS %d: rule %q has no weighted kernel; async staleness down-weighting requires one", cfg.ID, cfg.ServerRule.Name())
 		}
 	} else {
@@ -935,19 +933,14 @@ func (p *PS) serveRound(round int, conns []*transport.Conn, pending []*transport
 		return fmt.Errorf("node: PS %d round %d: no live clients", p.cfg.ID, round)
 	}
 
-	var members []int
-	var missed, lost, bytesIn, floatsIn int
-	views := make(map[int]compress.Payload)
+	var members, missed, lost, bytesIn, floatsIn int
 	var firstErr error
-	// The streaming sharded path: uploads are routed into the two-tier
-	// tree as they clear the barrier instead of piling up in views, so
-	// the full K×d matrix never exists on this server. The tree is built
-	// lazily on the first model (which fixes d) and reduces in
-	// ascending-client order regardless of arrival order — bit-identical
-	// to the unsharded rule below by the sharded differential contract.
-	useShard := p.cfg.Shards > 1 && aggregate.ShardableRule(p.cfg.ServerRule)
-	var sa *aggregate.Sharded
-	shardDim := 0
+	// Uploads stream into the round's aggregation as they clear the
+	// barrier: on the sharded path they are routed into the two-tier
+	// tree at once, so the full K×d matrix never exists on this server.
+	// Every path reduces in ascending-client order regardless of
+	// arrival order — the engine's member order, for bitwise parity.
+	agg := p.startAgg(len(conns))
 	waiting := make([]bool, len(conns))
 	for id, conn := range conns {
 		waiting[id] = conn != nil
@@ -987,22 +980,13 @@ func (p *PS) serveRound(round int, conns []*transport.Conn, pending []*transport
 		case u.missed:
 			missed++
 		case u.model:
-			if useShard && sa == nil {
-				shardDim = u.pl.Dim()
-				sa, useShard = aggregate.NewSharded(p.cfg.ServerRule, shardDim, p.cfg.Shards, len(conns))
-			}
-			if sa != nil {
-				if u.pl.Dim() != shardDim {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("node: PS %d round %d: dimension mismatch from client %d", p.cfg.ID, round, u.client)
-					}
-				} else {
-					sa.Offer(u.client, u.pl)
+			if err := agg.Offer(u.client, u.pl, 0); err != nil {
+				if !p.rejectUpload(&firstErr, round, u.client, err) {
+					missed++
 				}
-			} else {
-				views[u.client] = u.pl
+				continue
 			}
-			members = append(members, u.client)
+			members++
 			bytesIn += u.bytes
 			floatsIn += u.floats
 		}
@@ -1012,94 +996,97 @@ func (p *PS) serveRound(round int, conns []*transport.Conn, pending []*transport
 		barrierWait = time.Since(barrierStart)
 	}
 	if firstErr != nil {
-		if sa != nil {
-			sa.Abort()
-		}
+		agg.Abort()
 		return firstErr
 	}
-
-	// Aggregate in ascending client order — the same input order as
-	// the in-process engine, for bitwise parity. The rule consumes the
-	// payload views directly: a fused rule never densifies the codec
-	// uploads, a rule without a payload kernel falls back to
-	// densify-first inside AggregatePayloads (bit-identical either way;
-	// see the aggregate.PayloadRule contract). A benign server writes
-	// into its round-persistent buffer (nothing retains its aggregate
-	// past the round); a Byzantine server allocates fresh — its history
-	// feeds the adaptive attack.
-	sort.Ints(members)
-	var agg []float64
-	aggFused, aggSharded := false, false
-	oracleEvals := 0
-	var shardPeak int64
-	var dst []float64
-	if p.cfg.Attack == nil {
-		dst = p.aggBuf
-	}
-	if len(members) == 0 {
-		if p.lastAgg == nil {
-			return fmt.Errorf("node: PS %d round %d: no uploads and no previous aggregate", p.cfg.ID, round)
-		}
-		agg = append([]float64(nil), p.lastAgg...)
-	} else if sa != nil {
-		agg = sa.Finalize(dst)
-		aggSharded = true
-		shardPeak = sa.PeakShardBytes()
-	} else {
-		first := views[members[0]]
-		dim := first.Dim()
-		ordered := make([]compress.Payload, 0, len(members))
-		for _, k := range members {
-			v := views[k]
-			if v.Dim() != dim {
-				return fmt.Errorf("node: PS %d round %d: dimension mismatch from client %d", p.cfg.ID, round, k)
-			}
-			ordered = append(ordered, v)
-		}
-		agg, aggFused, oracleEvals = aggregate.AggregatePayloadsWithOracleInto(p.cfg.ServerRule, dst, ordered, p.cfg.LossOracle)
-	}
-	if dst != nil && len(members) > 0 {
-		p.aggBuf = agg
+	out, err := p.finishAgg(round, agg, members, bytesIn)
+	if err != nil {
+		return err
 	}
 	p.mu.Lock()
-	p.lastAgg = agg
 	p.stats.RoundsServed++
-	p.stats.UploadsReceived += len(members)
+	p.stats.UploadsReceived += members
 	p.stats.UploadsMissed += missed
 	p.stats.ClientsLost += lost
 	p.stats.BytesIn += bytesIn
 	p.stats.FloatsIn += floatsIn
-	if shardPeak > p.stats.ShardPeakBytes {
-		p.stats.ShardPeakBytes = shardPeak
-	}
 	p.mu.Unlock()
 	p.om.rounds.Inc()
-	p.om.uploadsRecv.Add(int64(len(members)))
+	p.om.uploadsRecv.Add(int64(members))
 	p.om.uploadsMissed.Add(int64(missed))
 	p.om.clientsLost.Add(int64(lost))
 	p.om.bytesIn.Add(int64(bytesIn))
 	p.om.floatsIn.Add(int64(floatsIn))
-	if len(members) > 0 {
-		switch {
-		case aggSharded:
-			p.om.aggSharded.Inc()
-			if shardPeak > 0 {
-				p.om.shardPeakBytes.Set(shardPeak)
-			}
-		case aggFused:
-			p.om.aggFused.Inc()
-		default:
-			p.om.aggFallback.Inc()
-		}
-		p.om.aggDecodeBytes.Add(int64(bytesIn))
-		p.om.oracleEvals.Add(int64(oracleEvals))
-	}
 	p.om.barrierWait.ObserveDuration(barrierWait)
 
-	return p.disseminate(round, agg, conns, roundTally{
-		members: len(members), missed: missed, lost: lost,
+	return p.disseminate(round, out, conns, roundTally{
+		members: members, missed: missed, lost: lost,
 		bytesIn: bytesIn, barrierWait: barrierWait,
 	})
+}
+
+// startAgg opens the round's aggregation. The expected dimension is
+// the PS's seeded model (len(lastAgg), from the clients' hello seeds
+// or a checkpoint), so the sharded and unsharded paths reject the same
+// wrong-length upload; with no seed the first upload fixes it.
+func (p *PS) startAgg(rowsHint int) *aggregate.Stream {
+	plan := aggregate.Plan{Rule: p.cfg.ServerRule, Shards: p.cfg.Shards, Oracle: p.cfg.LossOracle}
+	return plan.Start(len(p.lastAgg), rowsHint)
+}
+
+// rejectUpload handles an upload the round's aggregation refused (a
+// wrong dimension). A strict PS fails the round with the first such
+// error and reports true; a tolerant one skips and counts the upload
+// like a malformed frame, and the caller counts it missed.
+func (p *PS) rejectUpload(firstErr *error, round, client int, err error) (fatal bool) {
+	if !p.cfg.Tolerant {
+		if *firstErr == nil {
+			*firstErr = fmt.Errorf("node: PS %d round %d: client %d: %w", p.cfg.ID, round, client, err)
+		}
+		return true
+	}
+	p.om.framesSkipped.Inc()
+	return false
+}
+
+// finishAgg completes the round's aggregation and exports its path
+// metrics from the Result. With no members the PS re-disseminates its
+// last aggregate. A benign server writes into its round-persistent
+// buffer (nothing retains its aggregate past the round); a Byzantine
+// server allocates fresh — its history feeds the adaptive attack.
+func (p *PS) finishAgg(round int, s *aggregate.Stream, members, bytesIn int) ([]float64, error) {
+	if members == 0 {
+		s.Abort()
+		if p.lastAgg == nil {
+			return nil, fmt.Errorf("node: PS %d round %d: no uploads and no previous aggregate", p.cfg.ID, round)
+		}
+		out := append([]float64(nil), p.lastAgg...)
+		p.mu.Lock()
+		p.lastAgg = out
+		p.mu.Unlock()
+		return out, nil
+	}
+	var dst []float64
+	if p.cfg.Attack == nil {
+		dst = p.aggBuf
+	}
+	res, err := s.Finalize(dst)
+	if err != nil {
+		return nil, fmt.Errorf("node: PS %d round %d: %w", p.cfg.ID, round, err)
+	}
+	if dst != nil {
+		p.aggBuf = res.Out
+	}
+	var t aggregate.Tally
+	t.Add(res)
+	p.om.observeAgg(t, bytesIn)
+	p.mu.Lock()
+	p.lastAgg = res.Out
+	if res.PeakBytes > p.stats.ShardPeakBytes {
+		p.stats.ShardPeakBytes = res.PeakBytes
+	}
+	p.mu.Unlock()
+	return res.Out, nil
 }
 
 // roundTally carries the aggregation phase's outcome into disseminate,
@@ -1408,7 +1395,8 @@ func (p *PS) recvAsyncUploads(id, round int, conn *transport.Conn, deadline time
 				if m.Payload != nil {
 					rec.Enc, rec.Data = byte(m.Enc), m.Payload
 				} else {
-					rec.Enc, rec.Data = byte(compress.EncDense), denseWire(m.Vec)
+					enc, data := compress.DenseCodec.AppendEncode(make([]byte, 0, 8*len(m.Vec)), m.Vec)
+					rec.Enc, rec.Data = byte(enc), data
 				}
 				out.deferred = append(out.deferred, rec)
 				out.bytes += m.ModelWireBytes()
@@ -1548,14 +1536,28 @@ func (p *PS) serveRoundAsync(round int, conns []*transport.Conn) error {
 
 	// Weighted aggregation over the admitted set in (client, origin)
 	// order. The weighted kernels reproduce the unweighted rules bit
-	// for bit at weight 1 (the aggregate.WeightedRule contract), so a
-	// wide window degenerates to the sync barrier's aggregate exactly.
+	// for bit at weight 1, so a wide window degenerates to the sync
+	// barrier's aggregate exactly.
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].client != entries[j].client {
 			return entries[i].client < entries[j].client
 		}
 		return entries[i].origin < entries[j].origin
 	})
+	agg := p.startAgg(len(entries))
+	admitted := entries[:0]
+	for _, e := range entries {
+		if err := agg.Offer(len(admitted), e.view, e.weight); err != nil {
+			if p.rejectUpload(&firstErr, round, e.client, err) {
+				agg.Abort()
+				return firstErr
+			}
+			missed++
+			continue
+		}
+		admitted = append(admitted, e)
+	}
+	entries = admitted
 	fresh, staleN := 0, 0
 	for _, e := range entries {
 		if e.stale == 0 {
@@ -1564,42 +1566,12 @@ func (p *PS) serveRoundAsync(round int, conns []*transport.Conn) error {
 			staleN++
 		}
 	}
-	var agg []float64
-	aggFused, aggSharded := false, false
-	var shardPeak int64
-	var dst []float64
-	if p.cfg.Attack == nil {
-		dst = p.aggBuf
-	}
-	if len(entries) == 0 {
-		if p.lastAgg == nil {
-			return fmt.Errorf("node: PS %d round %d: no uploads and no previous aggregate", p.cfg.ID, round)
-		}
-		agg = append([]float64(nil), p.lastAgg...)
-	} else {
-		dim := entries[0].view.Dim()
-		ordered := make([]compress.Payload, len(entries))
-		weights := make([]float64, len(entries))
-		for i, e := range entries {
-			if e.view.Dim() != dim {
-				return fmt.Errorf("node: PS %d round %d: dimension mismatch from client %d", p.cfg.ID, round, e.client)
-			}
-			ordered[i] = e.view
-			weights[i] = e.weight
-		}
-		if p.cfg.Shards > 1 {
-			agg, aggSharded, shardPeak = aggregate.ShardAggregateWeightedPayloads(p.cfg.ServerRule, dst, ordered, weights, p.cfg.Shards)
-			aggFused = aggSharded
-		} else {
-			agg, aggFused = aggregate.AggregateWeightedPayloads(p.cfg.ServerRule, dst, ordered, weights)
-		}
-		if dst != nil {
-			p.aggBuf = agg
-		}
+	out, err := p.finishAgg(round, agg, len(entries), bytesIn)
+	if err != nil {
+		return err
 	}
 
 	p.mu.Lock()
-	p.lastAgg = agg
 	p.stats.RoundsServed++
 	p.stats.UploadsReceived += len(entries)
 	p.stats.UploadsMissed += missed
@@ -1610,9 +1582,6 @@ func (p *PS) serveRoundAsync(round int, conns []*transport.Conn) error {
 	p.stats.ClientsLost += lost
 	p.stats.BytesIn += bytesIn
 	p.stats.FloatsIn += floatsIn
-	if shardPeak > p.stats.ShardPeakBytes {
-		p.stats.ShardPeakBytes = shardPeak
-	}
 	if pd := p.spill.PeakDiskBytes(); pd > p.stats.SpillPeakBytes {
 		p.stats.SpillPeakBytes = pd
 	}
@@ -1635,20 +1604,6 @@ func (p *PS) serveRoundAsync(round int, conns []*transport.Conn) error {
 	}
 	p.om.spillDepth.Set(int64(p.spill.Len()))
 	p.om.spillBytes.Set(p.spill.MemBytes() + p.spill.DiskBytes())
-	if len(entries) > 0 {
-		switch {
-		case aggSharded:
-			p.om.aggSharded.Inc()
-			if shardPeak > 0 {
-				p.om.shardPeakBytes.Set(shardPeak)
-			}
-		case aggFused:
-			p.om.aggFused.Inc()
-		default:
-			p.om.aggFallback.Inc()
-		}
-		p.om.aggDecodeBytes.Add(int64(bytesIn))
-	}
 	p.om.barrierWait.ObserveDuration(barrierWait)
 
 	// Window close is the async commit point: persist the round
@@ -1669,7 +1624,7 @@ func (p *PS) serveRoundAsync(round int, conns []*transport.Conn) error {
 			}
 			p.mu.Unlock()
 		}
-		st := &checkpoint.State{Round: round + 1, Seed: p.cfg.Seed, Params: agg}
+		st := &checkpoint.State{Round: round + 1, Seed: p.cfg.Seed, Params: out}
 		checkpoint.WriteAsyncMeta(st, checkpoint.AsyncState{
 			Window: p.cfg.Window, Staleness: p.cfg.Staleness,
 			SpillPath: man.Path, SpillRecords: man.Records, SpillBytes: man.Bytes,
@@ -1679,23 +1634,11 @@ func (p *PS) serveRoundAsync(round int, conns []*transport.Conn) error {
 		}
 	}
 
-	return p.disseminate(round, agg, conns, roundTally{
+	return p.disseminate(round, out, conns, roundTally{
 		members: len(entries), missed: missed, lost: lost,
 		bytesIn: bytesIn, barrierWait: barrierWait,
 		stale: staleN, dropped: dropped, deferred: deferred, expired: expired,
 	})
-}
-
-// denseWire serializes a dense model to the codec wire format
-// (little-endian float64s), so a parked dense upload round-trips
-// bit-exactly through compress.ParsePayload(EncDense, ·). Mirrors the
-// engine's helper of the same name.
-func denseWire(v []float64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	return b
 }
 
 // isTimeout reports whether err is a network timeout (deadline
