@@ -76,15 +76,14 @@ func newEngineMetrics(reg *obs.Registry, rule string) *engineMetrics {
 }
 
 // observeAgg exports one round's server aggregations: the per-path
-// counters, the shard peak and the oracle evals, all derived from the
-// plans' Results, plus the payload bytes the stage consumed.
+// counters, the shard peak high-water mark and the oracle evals, all
+// derived from the plans' Results, plus the payload bytes the stage
+// consumed.
 func (m *engineMetrics) observeAgg(t aggregate.Tally, decodeBytes int) {
 	m.aggFused.Add(int64(t.Fused))
 	m.aggFallback.Add(int64(t.Fallback))
 	m.aggSharded.Add(int64(t.Sharded))
-	if t.PeakBytes > 0 {
-		m.shardPeakBytes.Set(t.PeakBytes)
-	}
+	m.shardPeakBytes.SetMax(t.PeakBytes)
 	m.aggDecodeBytes.Add(int64(decodeBytes))
 	m.oracleServer.Add(int64(t.Evals))
 }

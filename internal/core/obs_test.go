@@ -73,3 +73,17 @@ func TestObsDeterminismEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineShardPeakGaugeKeepsMax: fedms_engine_shard_peak_bytes is a
+// high-water mark, so a later round with a smaller shard footprint must
+// not lower it.
+func TestEngineShardPeakGaugeKeepsMax(t *testing.T) {
+	reg := obs.NewRegistry()
+	m := newEngineMetrics(reg, "mean")
+	for _, peak := range []int64{4096, 1024, 0} {
+		m.observeAgg(aggregate.Tally{Sharded: 1, PeakBytes: peak}, 0)
+	}
+	if got := reg.Gauge("fedms_engine_shard_peak_bytes").Value(); got != 4096 {
+		t.Fatalf("shard peak gauge = %d, want the 4096-byte high-water mark", got)
+	}
+}

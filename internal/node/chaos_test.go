@@ -27,8 +27,10 @@ type chaosOpts struct {
 	seed         uint64
 	filter       aggregate.Rule
 	// serverRule overrides the PS aggregation rule (nil keeps the
-	// default Mean); the fused-parity tier wraps it in NoFuse.
+	// default Mean); the fused-parity tier wraps it in NoFuse. shards
+	// sets every PS's aggregation shard count.
 	serverRule aggregate.Rule
+	shards     int
 	minModels  int
 	redial     bool
 	psTolerant bool
@@ -110,6 +112,7 @@ func runChaos(t *testing.T, o chaosOpts) ([][]float64, []PSStats, [][]ClientRoun
 			Rounds:          o.rounds,
 			Attack:          o.byz[i],
 			ServerRule:      o.serverRule,
+			Shards:          o.shards,
 			Seed:            o.seed,
 			Timeout:         o.psTimeout,
 			Tolerant:        o.psTolerant,

@@ -97,15 +97,13 @@ func newPSMetrics(reg *obs.Registry, id int, rule string) *psMetrics {
 }
 
 // observeAgg exports one round's aggregation, derived from the plan's
-// Result: its path counter, shard peak and oracle evals, plus the
-// payload bytes it consumed.
+// Result: its path counter, the shard peak high-water mark and the
+// oracle evals, plus the payload bytes it consumed.
 func (m *psMetrics) observeAgg(t aggregate.Tally, decodeBytes int) {
 	m.aggFused.Add(int64(t.Fused))
 	m.aggFallback.Add(int64(t.Fallback))
 	m.aggSharded.Add(int64(t.Sharded))
-	if t.PeakBytes > 0 {
-		m.shardPeakBytes.Set(t.PeakBytes)
-	}
+	m.shardPeakBytes.SetMax(t.PeakBytes)
 	m.aggDecodeBytes.Add(int64(decodeBytes))
 	m.oracleEvals.Add(int64(t.Evals))
 }

@@ -30,10 +30,8 @@ import (
 	"log/slog"
 	"net"
 	"os"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fedms/internal/aggregate"
@@ -177,10 +175,11 @@ type PSConfig struct {
 	// windowed round lifecycle (DESIGN.md §7): each round closes when
 	// every connection has delivered its round marker or the Window
 	// expires, whichever is first; uploads up to Staleness rounds old
-	// are admitted with the deterministic down-weight sched.Weight
-	// applied before ServerRule (which must have a weighted kernel —
-	// see aggregate.PerCoordinate); future-round frames spill to a
-	// disk-backed buffer and replay when their round opens.
+	// are admitted, once per (client, origin), with the deterministic
+	// down-weight sched.Weight applied before ServerRule (which must
+	// have a weighted kernel — see aggregate.PerCoordinate);
+	// future-round frames spill to a disk-backed buffer and replay when
+	// their round opens.
 	Async bool
 	// Window is the async per-round aggregation window. Defaults to
 	// sched.DefaultLatencyScale/4 when Async is set and Window is zero;
@@ -241,6 +240,10 @@ type PS struct {
 	// v2ok[id] records whether client id's hello advertised v2 codec
 	// frames; only those clients may receive an encoded downlink.
 	v2ok []bool
+	// admitted holds the (client, origin) uploads admitted inside the
+	// staleness horizon, so a repeat is dropped (see admit). It lives in
+	// memory only: a checkpoint restart starts it empty.
+	admitted map[admitKey]struct{}
 
 	om *psMetrics         // registry mirror of stats (no-op when Obs is nil)
 	tm *transport.Metrics // wire counters shared by this server's conns
@@ -298,9 +301,10 @@ type PSStats struct {
 	// Async lifecycle counters, all zero in sync mode. UploadsStale
 	// counts admitted down-weighted uploads (a subset of
 	// UploadsReceived); UploadsDropped counts models past the staleness
-	// bound; UploadsDeferred counts future-round models parked in the
-	// spill buffer for replay; WindowExpired counts connections whose
-	// round marker had not arrived when the window deadline fired.
+	// bound and repeats of an already-admitted (client, origin) upload;
+	// UploadsDeferred counts future-round models parked in the spill
+	// buffer for replay; WindowExpired counts connections whose round
+	// marker had not arrived when the window deadline fired.
 	UploadsStale    int
 	UploadsDropped  int
 	UploadsDeferred int
@@ -525,7 +529,7 @@ func (p *PS) Serve() error {
 
 	conns := make([]*transport.Conn, p.cfg.Clients)
 	// pending[id] parks a future-round upload read early from client id
-	// (see recvUpload); it never outlives its connection.
+	// by a sync PS (see readUploads); it never outlives its connection.
 	pending := make([]*transport.Message, p.cfg.Clients)
 	p.v2ok = make([]bool, p.cfg.Clients)
 	defer func() {
@@ -553,9 +557,23 @@ func (p *PS) Serve() error {
 	// absorbed — there is no lifetime budget that junk can exhaust.
 	results := make(chan acceptResult)
 	stop := make(chan struct{})
-	defer close(stop)
-	var quotaMet atomic.Bool
-	go p.acceptLoop(results, stop, &quotaMet)
+	quota := make(chan struct{})
+	loopDone := make(chan struct{})
+	var handshakes sync.WaitGroup
+	go func() {
+		defer close(loopDone)
+		p.acceptLoop(results, stop, quota, &handshakes)
+	}()
+	// Serve counts every handshake still in flight before it returns:
+	// the closed listener ends the accept loop, and each pending
+	// handshake — its stall bounded by HelloDeadline — counts itself
+	// once nobody reads its result (see lateAccept).
+	defer func() {
+		_ = p.ln.Close()
+		close(stop)
+		<-loopDone
+		handshakes.Wait()
+	}()
 
 	seeds := make([][]float64, p.cfg.Clients)
 	for admitted := 0; admitted < p.cfg.Clients; {
@@ -590,8 +608,7 @@ func (p *PS) Serve() error {
 		}
 		admitted++
 	}
-	quotaMet.Store(true)
-	go p.drainAccepts(results, stop)
+	close(quota)
 	// Seed lastAgg (the empty-round fallback aggregate) from the lowest
 	// client id with a non-empty hello seed — a deterministic choice,
 	// where the old arrival-order seeding depended on dial timing.
@@ -650,7 +667,7 @@ type acceptResult struct {
 // conn), post-quota shedding (once all K clients are admitted every
 // newcomer is junk by definition), and the handshake pool that bounds
 // how much memory unauthenticated peers can pin.
-func (p *PS) acceptLoop(results chan<- acceptResult, stop <-chan struct{}, quotaMet *atomic.Bool) {
+func (p *PS) acceptLoop(results chan<- acceptResult, stop, quota <-chan struct{}, handshakes *sync.WaitGroup) {
 	var limiter *sourceLimiter
 	if p.cfg.AcceptRate > 0 {
 		limiter = newSourceLimiter(p.cfg.AcceptRate, p.cfg.AcceptBurst)
@@ -661,13 +678,16 @@ func (p *PS) acceptLoop(results chan<- acceptResult, stop <-chan struct{}, quota
 		if err != nil {
 			select {
 			case results <- acceptResult{listenerErr: err}:
+			case <-quota:
 			case <-stop:
 			}
 			return
 		}
-		if quotaMet.Load() {
+		select {
+		case <-quota:
 			_ = raw.Close()
 			continue
+		default:
 		}
 		if limiter != nil && !limiter.allow(remoteHost(raw), time.Now()) {
 			_ = raw.Close()
@@ -684,7 +704,9 @@ func (p *PS) acceptLoop(results chan<- acceptResult, stop <-chan struct{}, quota
 			return
 		}
 		p.om.handshakePool.Set(int64(len(sem)))
+		handshakes.Add(1)
 		go func() {
+			defer handshakes.Done()
 			defer func() {
 				<-sem
 				p.om.handshakePool.Set(int64(len(sem)))
@@ -692,11 +714,11 @@ func (p *PS) acceptLoop(results chan<- acceptResult, stop <-chan struct{}, quota
 			r := p.handshake(raw)
 			select {
 			case results <- r:
+				return
+			case <-quota:
 			case <-stop:
-				if r.conn != nil {
-					_ = r.conn.Close()
-				}
 			}
+			p.lateAccept(r)
 		}()
 	}
 }
@@ -798,157 +820,276 @@ func (p *PS) badAccept(r acceptResult) error {
 	return nil
 }
 
-// drainAccepts consumes handshake results after the accept quota is
-// met so in-flight handshake slots recycle while rounds are served.
-// Everything arriving here is junk by definition — all K clients are
-// admitted — and is absorbed like any other bad accept, never fatally
-// (even in strict mode: the accept phase it polices is over).
-func (p *PS) drainAccepts(results <-chan acceptResult, stop <-chan struct{}) {
-	for {
-		select {
-		case r := <-results:
-			if r.listenerErr != nil {
-				return
-			}
-			if r.err == nil {
-				r.err = fmt.Errorf("node: PS %d: connection after accept quota", p.cfg.ID)
-			}
-			if p.cfg.Tolerant {
-				_ = p.badAccept(r)
-			} else if r.conn != nil {
-				_ = r.conn.Close()
-			}
-		case <-stop:
-			return
-		}
+// lateAccept absorbs a handshake that finished after the accept phase.
+// Once all K clients are admitted every newcomer is junk by definition,
+// and it is counted like any other bad accept, never fatally (even in
+// strict mode: the accept phase it polices is over).
+func (p *PS) lateAccept(r acceptResult) {
+	if r.err == nil {
+		r.err = fmt.Errorf("node: PS %d: connection after accept quota", p.cfg.ID)
+	}
+	if p.cfg.Tolerant {
+		_ = p.badAccept(r)
+	} else if r.conn != nil {
+		_ = r.conn.Close()
 	}
 }
 
-// upload is one client's contribution to a round barrier.
-type upload struct {
+// arrival is one event of a connection's round read. It carries at
+// most one model: an admissible row (row), a stale model past the
+// staleness bound (dropped, async only) or a future-round model for
+// the spill (deferred, async only). end marks the connection's last
+// event of the round, and missed, expired and dead say how its round
+// closed; the round marker's own model rides on that last event.
+type arrival struct {
 	client int
-	// model marks a slot that carried a real model; pl is its validated
-	// payload view (never densified here — aggregation consumes views).
-	model  bool
-	pl     compress.Payload
-	bytes  int // model payload bytes on the wire
-	floats int // float64-equivalent wire elements (ModelWireFloats)
-	// missed marks a slot whose frame never arrived (timeout or too
-	// much corruption); the connection stays live.
-	missed bool
-	// dead marks an unrecoverable connection.
-	dead bool
-	err  error
+
+	row, dropped bool
+	deferred     *spill.Record
+	origin       int              // the round the model was trained in
+	stale        int              // rounds behind the current round
+	weight       float64          // staleness down-weight (0 = unweighted, sync)
+	pl           compress.Payload // validated view, never densified here
+	bytes        int              // model payload bytes on the wire
+	floats       int              // float64-equivalent wire elements (ModelWireFloats)
+
+	end bool
+	// missed: the round marker never arrived (timeout, too much
+	// corruption, a later round's frame); expired: the async window
+	// closed first; dead: the connection is unrecoverable.
+	missed, expired, dead bool
+	err                   error
 }
 
-// recvUpload reads client id's round-r upload, skipping corrupt and
-// stale frames in tolerant mode. When this round's upload was lost and
-// the client has already sent a later round's, the future frame is
-// parked in *pending (consumed first on the next call) instead of
-// condemning a healthy connection.
-func (p *PS) recvUpload(id, round int, conn *transport.Conn, pending **transport.Message) upload {
-	for tries := 0; tries < maxBadFrames; tries++ {
+// readUploads is the PS's one upload reader, shared by the sync
+// K-frame barrier and the async window. It reads client id's frames
+// until the round marker — the frame tagged with the current round —
+// or, in async mode, until the window deadline passes, and classifies
+// every frame with sched.DecideAt. Rows read before the marker (async
+// stale uploads) stream to the collector on events; the returned event
+// closes the connection's round and carries the marker's model, if
+// any. Corrupt frames are skipped in tolerant mode, at most
+// maxBadFrames of them.
+//
+// The rules that differ by mode:
+//   - a timeout is fatal on a strict sync PS; otherwise the marker is
+//     missed (an expired window, in async);
+//   - a past-round frame is a skipped frame in sync; in async it is a
+//     stale upload, admitted down-weighted within the bound and
+//     dropped past it;
+//   - a future-round frame means this round's marker was lost: sync
+//     parks it in *pending (consumed first next round), async hands its
+//     model to the spill, which the checkpoint persists.
+//
+// A strict sync PS condemns the connection on any frame not tagged
+// with the current round.
+func (p *PS) readUploads(id, round int, conn *transport.Conn, pending **transport.Message, deadline time.Time, events chan<- arrival) arrival {
+	end := arrival{client: id, end: true}
+	// The reader owns the connection for the barrier, so in async mode
+	// it narrows the per-frame timeout toward the window deadline before
+	// each Recv (Recv re-arms conn.Timeout itself; see transport.Conn).
+	saved := conn.Timeout
+	if !deadline.IsZero() {
+		defer func() { conn.Timeout = saved }()
+	}
+	mode := sched.Sync
+	if p.cfg.Async {
+		mode = sched.Async
+	}
+	strictSync := !p.cfg.Async && !p.cfg.Tolerant
+	for bad := 0; bad < maxBadFrames; {
 		var m *transport.Message
 		var err error
 		if *pending != nil {
 			m, *pending = *pending, nil
 		} else {
+			if !deadline.IsZero() {
+				remain := time.Until(deadline)
+				if remain <= 0 {
+					end.missed, end.expired = true, true
+					return end
+				}
+				if saved > 0 && remain > saved {
+					remain = saved
+				}
+				conn.Timeout = remain
+			}
 			m, err = conn.Recv()
 		}
 		if err != nil {
-			if p.cfg.Tolerant {
-				if errors.Is(err, transport.ErrBadChecksum) || errors.Is(err, transport.ErrBadMAC) ||
-					errors.Is(err, transport.ErrBadPayload) {
-					// The stream is still frame-aligned: skip the
-					// mangled frame and keep reading.
-					p.om.framesSkipped.Inc()
-					continue
-				}
-				if isTimeout(err) {
-					return upload{client: id, missed: true, err: err}
-				}
+			switch {
+			case p.cfg.Tolerant && (errors.Is(err, transport.ErrBadChecksum) ||
+				errors.Is(err, transport.ErrBadMAC) || errors.Is(err, transport.ErrBadPayload)):
+				// The stream is still frame-aligned: skip the mangled
+				// frame and keep reading.
+				p.om.framesSkipped.Inc()
+				bad++
+				continue
+			case isTimeout(err) && !strictSync:
+				// Aggregate without the missing marker. In async mode it
+				// is the expected face of a straggler, not a fault.
+				end.missed, end.expired, end.err = true, p.cfg.Async, err
+				return end
 			}
-			return upload{client: id, dead: true, err: err}
+			end.dead, end.err = true, err
+			return end
 		}
-		if p.cfg.Tolerant && m.Type == transport.TypeUpload {
-			switch sched.DecideAt(sched.Sync, round, int(m.Round), 0).Outcome {
-			case sched.DropStale:
+		d := sched.DecideAt(mode, round, int(m.Round), p.cfg.Staleness)
+		if m.Type != transport.TypeUpload || (strictSync && d.Outcome != sched.Accept) {
+			end.dead = true
+			end.err = fmt.Errorf("unexpected %s (round %d) from client %d", m.Type, m.Round, id)
+			return end
+		}
+		switch d.Outcome {
+		case sched.DropStale:
+			if !p.cfg.Async {
 				// A duplicated or delayed frame from an earlier round.
 				p.om.framesSkipped.Inc()
-				continue
-			case sched.Defer:
-				// This round's upload was dropped and the client moved
-				// on. The frame we hold is a later round's: keep it.
+				bad++
+			} else if m.Flag == 1 {
+				events <- arrival{client: id, dropped: true, bytes: m.ModelWireBytes(), floats: m.ModelWireFloats()}
+			}
+			continue
+		case sched.Defer:
+			// This round's marker was lost and the client has moved on.
+			end.missed = true
+			end.err = fmt.Errorf("client %d already at round %d", id, m.Round)
+			if !p.cfg.Async {
 				*pending = m
-				return upload{client: id, missed: true,
-					err: fmt.Errorf("client %d already at round %d", id, m.Round)}
-			}
-		}
-		if m.Type != transport.TypeUpload || int(m.Round) != round {
-			return upload{client: id, dead: true,
-				err: fmt.Errorf("unexpected %s (round %d) from client %d", m.Type, m.Round, id)}
-		}
-		if m.Flag == 1 {
-			pl, err := m.ModelPayload()
-			if err != nil {
-				// The frame checksummed, so a malformed codec payload is
-				// a sender lying on the wire, not line noise. Tolerant
-				// mode degrades it like corruption: skip and keep
-				// reading (the barrier's maxBadFrames bound still
-				// applies); strict mode condemns the connection.
-				if p.cfg.Tolerant {
-					p.om.framesSkipped.Inc()
-					continue
+			} else if m.Flag == 1 {
+				rec := &spill.Record{Client: id, Server: p.cfg.ID, Origin: int(m.Round), Due: int(m.Round)}
+				if m.Payload != nil {
+					rec.Enc, rec.Data = byte(m.Enc), m.Payload
+				} else {
+					enc, data := compress.DenseCodec.AppendEncode(make([]byte, 0, 8*len(m.Vec)), m.Vec)
+					rec.Enc, rec.Data = byte(enc), data
 				}
-				return upload{client: id, dead: true, err: err}
+				end.deferred, end.bytes, end.floats = rec, m.ModelWireBytes(), m.ModelWireFloats()
 			}
-			return upload{client: id, model: true, pl: pl, bytes: m.ModelWireBytes(), floats: m.ModelWireFloats()}
+			return end
 		}
-		return upload{client: id}
+		if m.Flag != 1 {
+			if d.Outcome == sched.Accept {
+				return end // skip marker: nothing this round
+			}
+			continue // a stale skip frame carries nothing
+		}
+		pl, err := m.ModelPayload()
+		if err != nil {
+			// The frame checksummed, so a malformed codec payload is a
+			// sender lying on the wire, not line noise. Tolerant mode
+			// degrades it like corruption — a consumed marker is
+			// missed, a stale frame skipped — and strict mode condemns
+			// the connection.
+			if !p.cfg.Tolerant {
+				end.dead, end.err = true, err
+				return end
+			}
+			p.om.framesSkipped.Inc()
+			if d.Outcome == sched.Accept {
+				end.missed, end.err = true, err
+				return end
+			}
+			bad++
+			continue
+		}
+		row := arrival{client: id, row: true, origin: int(m.Round), stale: d.Staleness,
+			pl: pl, bytes: m.ModelWireBytes(), floats: m.ModelWireFloats()}
+		if p.cfg.Async {
+			row.weight = d.Weight
+		}
+		if d.Outcome == sched.AcceptStale {
+			events <- row
+			continue
+		}
+		row.end = true
+		return row // the marker closes this connection's round
 	}
-	return upload{client: id, missed: true, err: errors.New("too many unreadable frames")}
+	end.missed, end.err = true, errors.New("too many unreadable frames")
+	return end
 }
 
-// serveRound implements one aggregation + dissemination round.
+// serveRound implements one aggregation + dissemination round, for the
+// sync K-frame barrier and the async window alike: replay the spill,
+// read every connection up to its round marker, offer each admitted
+// row to the round's aggregate as it arrives, commit, disseminate.
 func (p *PS) serveRound(round int, conns []*transport.Conn, pending []*transport.Message) error {
-	if p.cfg.Async {
-		return p.serveRoundAsync(round, conns)
-	}
-	live := 0
-	results := make(chan upload, len(conns))
 	var barrierStart time.Time
 	if p.obsOn {
 		barrierStart = time.Now()
 	}
+	if p.admitted == nil {
+		p.admitted = make(map[admitKey]struct{})
+	}
+	for k := range p.admitted {
+		if k.origin < round-p.cfg.Staleness {
+			delete(p.admitted, k)
+		}
+	}
+	// Rows stream into the round's aggregation as they clear the
+	// barrier: on the sharded path they are routed into the two-tier
+	// tree at once, so the full K×d matrix never exists on this server.
+	// Every path reduces in ascending row-id order, (client, origin),
+	// regardless of arrival order — the engine's member order, for
+	// bitwise parity. The expected dimension is the PS's seeded model
+	// (len(lastAgg), from the clients' hello seeds or a checkpoint), so
+	// the sharded and unsharded paths reject the same wrong-length
+	// upload; with no seed the first upload fixes it.
+	plan := aggregate.Plan{Rule: p.cfg.ServerRule, Shards: p.cfg.Shards, Oracle: p.cfg.LossOracle}
+	agg := plan.Start(len(p.lastAgg), len(conns))
+	var t roundTally
+	if err := p.replaySpill(round, agg, &t); err != nil {
+		agg.Abort()
+		return err
+	}
+
+	// One reader per connection. An async round also closes at the
+	// window deadline; in a clean run every marker lands well inside the
+	// window and the deadline never fires — wall clock only bounds the
+	// faulty case, keeping seeded runs deterministic.
+	var deadline time.Time
+	if p.cfg.Async {
+		deadline = time.Now().Add(p.cfg.Window)
+	}
+	// One slot per connection holds every closing event; async stale
+	// rows beyond that wait for the collector, which drains until the
+	// last connection closes its round.
+	events := make(chan arrival, len(conns))
+	waiting := make([]bool, len(conns))
+	live := 0
 	for id, conn := range conns {
 		if conn == nil {
 			continue
 		}
 		live++
+		waiting[id] = true
 		go func(id int, conn *transport.Conn) {
-			results <- p.recvUpload(id, round, conn, &pending[id])
+			events <- p.readUploads(id, round, conn, &pending[id], deadline, events)
 		}(id, conn)
 	}
 	if live == 0 {
+		agg.Abort()
 		return fmt.Errorf("node: PS %d round %d: no live clients", p.cfg.ID, round)
 	}
 
-	var members, missed, lost, bytesIn, floatsIn int
-	var firstErr error
-	// Uploads stream into the round's aggregation as they clear the
-	// barrier: on the sharded path they are routed into the two-tier
-	// tree at once, so the full K×d matrix never exists on this server.
-	// Every path reduces in ascending-client order regardless of
-	// arrival order — the engine's member order, for bitwise parity.
-	agg := p.startAgg(len(conns))
-	waiting := make([]bool, len(conns))
-	for id, conn := range conns {
-		waiting[id] = conn != nil
-	}
-	for i := 0; i < live; i++ {
-		u := <-results
-		waiting[u.client] = false
-		if i == 0 && p.cfg.Tolerant && p.cfg.Timeout > 0 {
+	deferred := make([]*spill.Record, len(conns))
+	for ends := 0; ends < live; {
+		a := <-events
+		if a.row {
+			p.admit(round, agg, &t, a)
+		} else {
+			// A dropped or deferred model still crossed the wire.
+			t.wire(a)
+			if a.dropped {
+				t.dropped++
+			}
+		}
+		if !a.end {
+			continue
+		}
+		ends++
+		waiting[a.client] = false
+		if ends == 1 && !p.cfg.Async && p.cfg.Tolerant && p.cfg.Timeout > 0 {
 			// Straggler window. The first result proves this round's
 			// uploads are flowing, so holdouts — in practice frames the
 			// fault layer dropped — get only Timeout/2 more before they
@@ -966,87 +1107,134 @@ func (p *PS) serveRound(round int, conns []*transport.Conn, pending []*transport
 				}
 			}
 		}
+		deferred[a.client] = a.deferred
 		switch {
-		case u.dead && !p.cfg.Tolerant:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("node: PS %d round %d: client %d: %w", p.cfg.ID, round, u.client, u.err)
+		case a.dead && !p.cfg.Tolerant:
+			t.fail(fmt.Errorf("node: PS %d round %d: client %d: %w", p.cfg.ID, round, a.client, a.err))
+		case a.dead:
+			_ = conns[a.client].Close()
+			conns[a.client] = nil
+			pending[a.client] = nil
+			t.lost++
+			t.missed++
+		case a.missed:
+			t.missed++
+			if a.expired {
+				t.expired++
 			}
-		case u.dead:
-			_ = conns[u.client].Close()
-			conns[u.client] = nil
-			pending[u.client] = nil
-			lost++
-			missed++
-		case u.missed:
-			missed++
-		case u.model:
-			if err := agg.Offer(u.client, u.pl, 0); err != nil {
-				if !p.rejectUpload(&firstErr, round, u.client, err) {
-					missed++
-				}
-				continue
-			}
-			members++
-			bytesIn += u.bytes
-			floatsIn += u.floats
 		}
 	}
-	var barrierWait time.Duration
 	if p.obsOn {
-		barrierWait = time.Since(barrierStart)
+		t.barrierWait = time.Since(barrierStart)
 	}
-	if firstErr != nil {
+	if t.err != nil {
 		agg.Abort()
-		return firstErr
+		return t.err
 	}
-	out, err := p.finishAgg(round, agg, members, bytesIn)
+	// Deferred records enter the spill in client order, not reader-
+	// completion order, so the segment content — and the mem-vs-disk
+	// split under a tight MemLimit — is reproducible.
+	for _, rec := range deferred {
+		if rec == nil {
+			continue
+		}
+		if err := p.spill.Add(*rec); err != nil {
+			agg.Abort()
+			return fmt.Errorf("node: PS %d round %d spill: %w", p.cfg.ID, round, err)
+		}
+		t.deferred++
+	}
+	out, err := p.finishAgg(round, agg, t.members, t.bytesIn)
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	p.stats.RoundsServed++
-	p.stats.UploadsReceived += members
-	p.stats.UploadsMissed += missed
-	p.stats.ClientsLost += lost
-	p.stats.BytesIn += bytesIn
-	p.stats.FloatsIn += floatsIn
-	p.mu.Unlock()
-	p.om.rounds.Inc()
-	p.om.uploadsRecv.Add(int64(members))
-	p.om.uploadsMissed.Add(int64(missed))
-	p.om.clientsLost.Add(int64(lost))
-	p.om.bytesIn.Add(int64(bytesIn))
-	p.om.floatsIn.Add(int64(floatsIn))
-	p.om.barrierWait.ObserveDuration(barrierWait)
-
-	return p.disseminate(round, out, conns, roundTally{
-		members: members, missed: missed, lost: lost,
-		bytesIn: bytesIn, barrierWait: barrierWait,
-	})
-}
-
-// startAgg opens the round's aggregation. The expected dimension is
-// the PS's seeded model (len(lastAgg), from the clients' hello seeds
-// or a checkpoint), so the sharded and unsharded paths reject the same
-// wrong-length upload; with no seed the first upload fixes it.
-func (p *PS) startAgg(rowsHint int) *aggregate.Stream {
-	plan := aggregate.Plan{Rule: p.cfg.ServerRule, Shards: p.cfg.Shards, Oracle: p.cfg.LossOracle}
-	return plan.Start(len(p.lastAgg), rowsHint)
-}
-
-// rejectUpload handles an upload the round's aggregation refused (a
-// wrong dimension). A strict PS fails the round with the first such
-// error and reports true; a tolerant one skips and counts the upload
-// like a malformed frame, and the caller counts it missed.
-func (p *PS) rejectUpload(firstErr *error, round, client int, err error) (fatal bool) {
-	if !p.cfg.Tolerant {
-		if *firstErr == nil {
-			*firstErr = fmt.Errorf("node: PS %d round %d: client %d: %w", p.cfg.ID, round, client, err)
-		}
-		return true
+	if err := p.commit(round, out, t); err != nil {
+		return err
 	}
-	p.om.framesSkipped.Inc()
-	return false
+	return p.disseminate(round, out, conns, t)
+}
+
+// admitKey names one upload: the client that trained it and its origin
+// round.
+type admitKey struct{ client, origin int }
+
+// admit offers one admissible row to the round's aggregate. A PS admits
+// at most one upload per (client, origin) across the staleness horizon:
+// a repeat — a replayed stale frame, a duplicated marker — is dropped,
+// so no client adds more than one model to a round (the one-vector-
+// per-client assumption behind robust aggregation). The row id
+// client·(S+1) + (origin − round + S) orders rows by (client, origin);
+// with S = 0 it is the client id. A row the aggregation refuses (a
+// wrong dimension) fails a strict PS's round; a tolerant PS skips it
+// like a malformed frame and counts it missed.
+func (p *PS) admit(round int, agg *aggregate.Stream, t *roundTally, a arrival) {
+	key := admitKey{a.client, a.origin}
+	if _, dup := p.admitted[key]; dup {
+		t.wire(a)
+		t.dropped++
+		return
+	}
+	s := p.cfg.Staleness
+	if err := agg.Offer(a.client*(s+1)+a.origin-round+s, a.pl, a.weight); err != nil {
+		if !p.cfg.Tolerant {
+			t.fail(fmt.Errorf("node: PS %d round %d: client %d: %w", p.cfg.ID, round, a.client, err))
+			return
+		}
+		p.om.framesSkipped.Inc()
+		t.missed++
+		return
+	}
+	p.admitted[key] = struct{}{}
+	t.wire(a)
+	t.members++
+	if a.stale > 0 {
+		t.stale++
+	}
+	if p.cfg.Async {
+		p.om.staleHist.Observe(float64(a.stale))
+	}
+}
+
+// replaySpill admits the spill records due this round (or still
+// admissibly stale) before any socket is read, so a checkpoint restart
+// resumes mid-window instead of dropping the late uploads. Popping
+// exactly Len() records cycles not-yet-due ones to the back once,
+// preserving FIFO across rounds. A sync PS has no spill.
+func (p *PS) replaySpill(round int, agg *aggregate.Stream, t *roundTally) error {
+	if p.spill == nil {
+		return nil
+	}
+	for n := p.spill.Len(); n > 0; n-- {
+		rec, ok, err := p.spill.Pop()
+		if err != nil {
+			return fmt.Errorf("node: PS %d round %d spill: %w", p.cfg.ID, round, err)
+		}
+		if !ok {
+			break
+		}
+		d := sched.DecideAt(sched.Async, round, rec.Origin, p.cfg.Staleness)
+		switch d.Outcome {
+		case sched.Defer:
+			if err := p.spill.Add(rec); err != nil {
+				return fmt.Errorf("node: PS %d round %d spill requeue: %w", p.cfg.ID, round, err)
+			}
+		case sched.DropStale:
+			t.dropped++
+		default:
+			pl, perr := compress.ParsePayload(compress.Encoding(rec.Enc), rec.Data)
+			if perr != nil {
+				// The segment frame checksummed, so this payload was
+				// malformed at the sender; drop it like any other
+				// inadmissible upload.
+				t.dropped++
+				continue
+			}
+			// Its wire bytes were counted when it was deferred.
+			p.admit(round, agg, t, arrival{client: rec.Client, row: true,
+				origin: rec.Origin, stale: d.Staleness, weight: d.Weight, pl: pl})
+		}
+	}
+	return nil
 }
 
 // finishAgg completes the round's aggregation and exports its path
@@ -1089,19 +1277,97 @@ func (p *PS) finishAgg(round int, s *aggregate.Stream, members, bytesIn int) ([]
 	return res.Out, nil
 }
 
-// roundTally carries the aggregation phase's outcome into disseminate,
-// which finishes the round's stats, trace and log line. The async
-// fields stay zero in sync mode.
+// commit books a finished round: PSStats, the registry mirror and, on a
+// PS with a spill, its gauges and the checkpoint. Window close is the
+// async commit point: the checkpoint persists the round horizon, the
+// aggregate and the flushed spill manifest, so a restart re-enters the
+// protocol exactly here.
+func (p *PS) commit(round int, out []float64, t roundTally) error {
+	p.mu.Lock()
+	p.stats.RoundsServed++
+	p.stats.UploadsReceived += t.members
+	p.stats.UploadsMissed += t.missed
+	p.stats.UploadsStale += t.stale
+	p.stats.UploadsDropped += t.dropped
+	p.stats.UploadsDeferred += t.deferred
+	p.stats.WindowExpired += t.expired
+	p.stats.ClientsLost += t.lost
+	p.stats.BytesIn += t.bytesIn
+	p.stats.FloatsIn += t.floatsIn
+	if p.spill != nil {
+		p.stats.SpillPeakBytes = max(p.stats.SpillPeakBytes, p.spill.PeakDiskBytes())
+	}
+	p.mu.Unlock()
+	p.om.rounds.Inc()
+	p.om.uploadsRecv.Add(int64(t.members))
+	p.om.uploadsMissed.Add(int64(t.missed))
+	p.om.clientsLost.Add(int64(t.lost))
+	p.om.bytesIn.Add(int64(t.bytesIn))
+	p.om.floatsIn.Add(int64(t.floatsIn))
+	p.om.barrierWait.ObserveDuration(t.barrierWait)
+	if p.cfg.Async {
+		p.om.winFresh.Add(int64(t.members - t.stale))
+		p.om.winStale.Add(int64(t.stale))
+		p.om.winDropped.Add(int64(t.dropped))
+		p.om.winDeferred.Add(int64(t.deferred))
+		p.om.windowExpired.Add(int64(t.expired))
+	}
+	if p.spill == nil {
+		return nil
+	}
+	p.om.spillDepth.Set(int64(p.spill.Len()))
+	p.om.spillBytes.Set(p.spill.MemBytes() + p.spill.DiskBytes())
+	if p.cfg.CheckpointPath == "" {
+		return nil
+	}
+	man, err := p.spill.Flush()
+	if err != nil {
+		return fmt.Errorf("node: PS %d round %d spill flush: %w", p.cfg.ID, round, err)
+	}
+	// Flushing pushes the in-memory backlog to disk, so the segment
+	// high-water mark can move after the round's stats snapshot.
+	p.mu.Lock()
+	p.stats.SpillPeakBytes = max(p.stats.SpillPeakBytes, man.Bytes)
+	p.mu.Unlock()
+	st := &checkpoint.State{Round: round + 1, Seed: p.cfg.Seed, Params: out}
+	checkpoint.WriteAsyncMeta(st, checkpoint.AsyncState{
+		Window: p.cfg.Window, Staleness: p.cfg.Staleness,
+		SpillPath: man.Path, SpillRecords: man.Records, SpillBytes: man.Bytes,
+	})
+	if err := checkpoint.SaveFile(p.cfg.CheckpointPath, st); err != nil {
+		return fmt.Errorf("node: PS %d round %d checkpoint: %w", p.cfg.ID, round, err)
+	}
+	return nil
+}
+
+// roundTally carries one round's outcome from the collector through
+// commit into disseminate, which finishes the round's stats, trace and
+// log line. The async fields stay zero in sync mode; err is the round's
+// first fatal error (strict mode).
 type roundTally struct {
 	members     int
 	missed      int
 	lost        int
 	bytesIn     int
+	floatsIn    int
 	barrierWait time.Duration
 	stale       int
 	dropped     int
 	deferred    int
 	expired     int
+	err         error
+}
+
+// wire counts an arrival's model on the wire.
+func (t *roundTally) wire(a arrival) {
+	t.bytesIn += a.bytes
+	t.floatsIn += a.floats
+}
+
+func (t *roundTally) fail(err error) {
+	if t.err == nil {
+		t.err = err
+	}
 }
 
 // disseminate broadcasts the round aggregate to every live client —
@@ -1262,383 +1528,6 @@ func (p *PS) disseminate(round int, agg []float64, conns []*transport.Conn, t ro
 		p.cfg.Logger.Info("ps round", attrs...)
 	}
 	return nil
-}
-
-// psArrival is one admitted upload of an async round: a payload view
-// plus its staleness down-weight. The member set sorts by (client,
-// origin) before aggregation so membership order — and therefore every
-// aggregate bit — is independent of arrival interleaving.
-type psArrival struct {
-	client, origin, stale int
-	weight                float64
-	view                  compress.Payload
-}
-
-// asyncRecv is one connection's contribution to an async round: the
-// frames admitted up to (and including) the round marker, plus the
-// spill records of any future-round models that prove the marker lost.
-type asyncRecv struct {
-	client   int
-	entries  []psArrival
-	deferred []spill.Record
-	bytes    int
-	floats   int
-	dropped  int
-	missed   bool
-	expired  bool
-	dead     bool
-	err      error
-}
-
-// recvAsyncUploads reads client id's frames for async round `round`
-// until the round marker — a frame tagged with the current round —
-// arrives or the window deadline passes. Stale frames within the bound
-// are admitted down-weighted, frames past it are dropped, and a
-// future-round frame means this round's marker was lost: its model is
-// handed back for the spill buffer and the marker counts as missed.
-// The reader owns the connection for the duration of the barrier, so
-// it narrows the per-frame timeout toward the window deadline before
-// each Recv (Recv re-arms conn.Timeout itself; see transport.Conn).
-func (p *PS) recvAsyncUploads(id, round int, conn *transport.Conn, deadline time.Time) asyncRecv {
-	out := asyncRecv{client: id}
-	saved := conn.Timeout
-	defer func() { conn.Timeout = saved }()
-	bad := 0
-	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			out.missed, out.expired = true, true
-			return out
-		}
-		if saved > 0 && remain > saved {
-			remain = saved
-		}
-		conn.Timeout = remain
-		m, err := conn.Recv()
-		if err != nil {
-			switch {
-			case errors.Is(err, transport.ErrBadChecksum), errors.Is(err, transport.ErrBadMAC),
-				errors.Is(err, transport.ErrBadPayload):
-				if p.cfg.Tolerant {
-					p.om.framesSkipped.Inc()
-					if bad++; bad >= maxBadFrames {
-						out.missed = true
-						out.err = errors.New("too many unreadable frames")
-						return out
-					}
-					continue
-				}
-				out.dead, out.err = true, err
-				return out
-			case isTimeout(err):
-				// The window closed with this marker still outstanding
-				// (in async mode a missing marker is the expected face of
-				// a straggler, not a protocol fault): aggregate without
-				// it.
-				out.missed, out.expired = true, true
-				out.err = err
-				return out
-			default:
-				out.dead, out.err = true, err
-				return out
-			}
-		}
-		if m.Type != transport.TypeUpload {
-			out.dead = true
-			out.err = fmt.Errorf("unexpected %s (round %d) from client %d", m.Type, m.Round, id)
-			return out
-		}
-		d := sched.DecideAt(sched.Async, round, int(m.Round), p.cfg.Staleness)
-		switch d.Outcome {
-		case sched.Accept, sched.AcceptStale:
-			if m.Flag != 1 {
-				if d.Outcome == sched.Accept {
-					return out // skip marker: nothing this round
-				}
-				continue // a stale skip frame carries nothing
-			}
-			pl, perr := m.ModelPayload()
-			if perr != nil {
-				// The frame checksummed, so a malformed payload is a
-				// sender lying on the wire; tolerant mode degrades it to
-				// a miss (the marker is consumed) or a skipped stale
-				// frame, strict mode condemns the connection.
-				if !p.cfg.Tolerant {
-					out.dead, out.err = true, perr
-					return out
-				}
-				p.om.framesSkipped.Inc()
-				if d.Outcome == sched.Accept {
-					out.missed, out.err = true, perr
-					return out
-				}
-				if bad++; bad >= maxBadFrames {
-					out.missed = true
-					return out
-				}
-				continue
-			}
-			out.entries = append(out.entries, psArrival{
-				client: id, origin: int(m.Round), stale: d.Staleness, weight: d.Weight, view: pl,
-			})
-			out.bytes += m.ModelWireBytes()
-			out.floats += m.ModelWireFloats()
-			if d.Outcome == sched.Accept {
-				return out // the marker closes this connection's round
-			}
-		case sched.Defer:
-			// A future-round frame: this round's marker was lost and the
-			// client has moved on. Park the model for replay when its
-			// round opens; the marker counts as missed.
-			if m.Flag == 1 {
-				rec := spill.Record{Client: id, Server: p.cfg.ID, Origin: int(m.Round), Due: int(m.Round)}
-				if m.Payload != nil {
-					rec.Enc, rec.Data = byte(m.Enc), m.Payload
-				} else {
-					enc, data := compress.DenseCodec.AppendEncode(make([]byte, 0, 8*len(m.Vec)), m.Vec)
-					rec.Enc, rec.Data = byte(enc), data
-				}
-				out.deferred = append(out.deferred, rec)
-				out.bytes += m.ModelWireBytes()
-				out.floats += m.ModelWireFloats()
-			}
-			out.missed = true
-			return out
-		case sched.DropStale:
-			if m.Flag == 1 {
-				out.bytes += m.ModelWireBytes()
-				out.floats += m.ModelWireFloats()
-				out.dropped++
-			}
-		}
-	}
-}
-
-// serveRoundAsync implements one windowed aggregation + dissemination
-// round: replay the spill, read every connection up to its round
-// marker or the window deadline, admit stale uploads down-weighted,
-// aggregate through the weighted kernels, checkpoint, disseminate.
-func (p *PS) serveRoundAsync(round int, conns []*transport.Conn) error {
-	var barrierStart time.Time
-	if p.obsOn {
-		barrierStart = time.Now()
-	}
-
-	// Spill replay: records parked for this round (or still admissibly
-	// stale) join the member set before any socket is read, so a
-	// checkpoint restart resumes mid-window instead of dropping the
-	// late uploads. Popping exactly Len() records cycles not-yet-due
-	// ones to the back once, preserving FIFO across rounds.
-	var entries []psArrival
-	dropped := 0
-	for n := p.spill.Len(); n > 0; n-- {
-		rec, ok, err := p.spill.Pop()
-		if err != nil {
-			return fmt.Errorf("node: PS %d round %d spill: %w", p.cfg.ID, round, err)
-		}
-		if !ok {
-			break
-		}
-		d := sched.DecideAt(sched.Async, round, rec.Origin, p.cfg.Staleness)
-		switch d.Outcome {
-		case sched.Defer:
-			if err := p.spill.Add(rec); err != nil {
-				return fmt.Errorf("node: PS %d round %d spill requeue: %w", p.cfg.ID, round, err)
-			}
-		case sched.Accept, sched.AcceptStale:
-			pl, perr := compress.ParsePayload(compress.Encoding(rec.Enc), rec.Data)
-			if perr != nil {
-				// The segment frame checksummed, so this payload was
-				// malformed at the sender; drop it like any other
-				// inadmissible upload.
-				dropped++
-				continue
-			}
-			entries = append(entries, psArrival{
-				client: rec.Client, origin: rec.Origin, stale: d.Staleness, weight: d.Weight, view: pl,
-			})
-		case sched.DropStale:
-			dropped++
-		}
-	}
-
-	// Window barrier: one reader per connection, all bounded by the
-	// same deadline. In a clean run every marker lands well inside the
-	// window and the deadline never fires — wall clock only bounds the
-	// faulty case, keeping seeded runs deterministic.
-	deadline := time.Now().Add(p.cfg.Window)
-	live := 0
-	results := make(chan asyncRecv, len(conns))
-	for id, conn := range conns {
-		if conn == nil {
-			continue
-		}
-		live++
-		go func(id int, conn *transport.Conn) {
-			results <- p.recvAsyncUploads(id, round, conn, deadline)
-		}(id, conn)
-	}
-	if live == 0 {
-		return fmt.Errorf("node: PS %d round %d: no live clients", p.cfg.ID, round)
-	}
-
-	var missed, lost, expired, bytesIn, floatsIn int
-	var deferRecs []spill.Record
-	var firstErr error
-	for i := 0; i < live; i++ {
-		r := <-results
-		switch {
-		case r.dead && !p.cfg.Tolerant:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("node: PS %d round %d: client %d: %w", p.cfg.ID, round, r.client, r.err)
-			}
-		case r.dead:
-			_ = conns[r.client].Close()
-			conns[r.client] = nil
-			lost++
-			missed++
-		default:
-			if r.missed {
-				missed++
-			}
-			if r.expired {
-				expired++
-			}
-			entries = append(entries, r.entries...)
-			deferRecs = append(deferRecs, r.deferred...)
-			dropped += r.dropped
-			bytesIn += r.bytes
-			floatsIn += r.floats
-		}
-	}
-	var barrierWait time.Duration
-	if p.obsOn {
-		barrierWait = time.Since(barrierStart)
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	// Deferred records enter the spill in (client, origin) order, not
-	// reader-completion order, so the segment content — and the
-	// mem-vs-disk split under a tight MemLimit — is reproducible.
-	sort.Slice(deferRecs, func(i, j int) bool {
-		if deferRecs[i].Client != deferRecs[j].Client {
-			return deferRecs[i].Client < deferRecs[j].Client
-		}
-		return deferRecs[i].Origin < deferRecs[j].Origin
-	})
-	for _, rec := range deferRecs {
-		if err := p.spill.Add(rec); err != nil {
-			return fmt.Errorf("node: PS %d round %d spill: %w", p.cfg.ID, round, err)
-		}
-	}
-	deferred := len(deferRecs)
-
-	// Weighted aggregation over the admitted set in (client, origin)
-	// order. The weighted kernels reproduce the unweighted rules bit
-	// for bit at weight 1, so a wide window degenerates to the sync
-	// barrier's aggregate exactly.
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].client != entries[j].client {
-			return entries[i].client < entries[j].client
-		}
-		return entries[i].origin < entries[j].origin
-	})
-	agg := p.startAgg(len(entries))
-	admitted := entries[:0]
-	for _, e := range entries {
-		if err := agg.Offer(len(admitted), e.view, e.weight); err != nil {
-			if p.rejectUpload(&firstErr, round, e.client, err) {
-				agg.Abort()
-				return firstErr
-			}
-			missed++
-			continue
-		}
-		admitted = append(admitted, e)
-	}
-	entries = admitted
-	fresh, staleN := 0, 0
-	for _, e := range entries {
-		if e.stale == 0 {
-			fresh++
-		} else {
-			staleN++
-		}
-	}
-	out, err := p.finishAgg(round, agg, len(entries), bytesIn)
-	if err != nil {
-		return err
-	}
-
-	p.mu.Lock()
-	p.stats.RoundsServed++
-	p.stats.UploadsReceived += len(entries)
-	p.stats.UploadsMissed += missed
-	p.stats.UploadsStale += staleN
-	p.stats.UploadsDropped += dropped
-	p.stats.UploadsDeferred += deferred
-	p.stats.WindowExpired += expired
-	p.stats.ClientsLost += lost
-	p.stats.BytesIn += bytesIn
-	p.stats.FloatsIn += floatsIn
-	if pd := p.spill.PeakDiskBytes(); pd > p.stats.SpillPeakBytes {
-		p.stats.SpillPeakBytes = pd
-	}
-	p.mu.Unlock()
-	p.om.rounds.Inc()
-	p.om.uploadsRecv.Add(int64(len(entries)))
-	p.om.uploadsMissed.Add(int64(missed))
-	p.om.clientsLost.Add(int64(lost))
-	p.om.bytesIn.Add(int64(bytesIn))
-	p.om.floatsIn.Add(int64(floatsIn))
-	p.om.winFresh.Add(int64(fresh))
-	p.om.winStale.Add(int64(staleN))
-	p.om.winDropped.Add(int64(dropped))
-	p.om.winDeferred.Add(int64(deferred))
-	p.om.windowExpired.Add(int64(expired))
-	if p.cfg.Obs != nil {
-		for _, e := range entries {
-			p.om.staleHist.Observe(float64(e.stale))
-		}
-	}
-	p.om.spillDepth.Set(int64(p.spill.Len()))
-	p.om.spillBytes.Set(p.spill.MemBytes() + p.spill.DiskBytes())
-	p.om.barrierWait.ObserveDuration(barrierWait)
-
-	// Window close is the async commit point: persist the round
-	// horizon, the aggregate and the flushed spill manifest, so a
-	// restart re-enters the protocol exactly here.
-	if p.cfg.CheckpointPath != "" {
-		man, err := p.spill.Flush()
-		if err != nil {
-			return fmt.Errorf("node: PS %d round %d spill flush: %w", p.cfg.ID, round, err)
-		}
-		if man.Bytes > 0 {
-			// Flushing pushes the in-memory backlog to disk, so the
-			// segment high-water mark can move after the round's stats
-			// snapshot.
-			p.mu.Lock()
-			if man.Bytes > p.stats.SpillPeakBytes {
-				p.stats.SpillPeakBytes = man.Bytes
-			}
-			p.mu.Unlock()
-		}
-		st := &checkpoint.State{Round: round + 1, Seed: p.cfg.Seed, Params: out}
-		checkpoint.WriteAsyncMeta(st, checkpoint.AsyncState{
-			Window: p.cfg.Window, Staleness: p.cfg.Staleness,
-			SpillPath: man.Path, SpillRecords: man.Records, SpillBytes: man.Bytes,
-		})
-		if err := checkpoint.SaveFile(p.cfg.CheckpointPath, st); err != nil {
-			return fmt.Errorf("node: PS %d round %d checkpoint: %w", p.cfg.ID, round, err)
-		}
-	}
-
-	return p.disseminate(round, out, conns, roundTally{
-		members: len(entries), missed: missed, lost: lost,
-		bytesIn: bytesIn, barrierWait: barrierWait,
-		stale: staleN, dropped: dropped, deferred: deferred, expired: expired,
-	})
 }
 
 // isTimeout reports whether err is a network timeout (deadline

@@ -84,6 +84,20 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
+// SetMax raises the gauge to n when n is larger, keeping a high-water
+// mark.
+func (g *Gauge) SetMax(n int64) {
+	if g == nil {
+		return
+	}
+	for {
+		cur := g.v.Load()
+		if n <= cur || g.v.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
 // Add moves the gauge by n (n may be negative).
 func (g *Gauge) Add(n int64) {
 	if g == nil {

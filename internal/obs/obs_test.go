@@ -42,6 +42,14 @@ func TestGauge(t *testing.T) {
 	if g.Value() != 4 {
 		t.Fatalf("gauge = %d, want 4", g.Value())
 	}
+	for _, n := range []int64{9, 2, 9, 0} {
+		g.SetMax(n)
+	}
+	if g.Value() != 9 {
+		t.Fatalf("high-water gauge = %d, want 9", g.Value())
+	}
+	var nilGauge *Gauge
+	nilGauge.SetMax(1) // a disabled registry's gauge is a no-op
 }
 
 func TestHistogramBuckets(t *testing.T) {
