@@ -52,7 +52,13 @@ test:
 # member ordering and input rejection fail by name first, followed by
 # the dimension-check regressions (a wrong-length model from a
 # Byzantine PS or client must degrade, never crash) and the path-
-# counter parity between the engine and the distributed runtime.
+# counter parity between the engine and the distributed runtime. The
+# sparse-upload tier runs last before the full suite: the linear-time
+# top-k selection and the q4/q8/q16 code paths must stay bit-identical
+# to the stable sort and the bit-by-bit path they replaced, the engine's
+# concurrent per-client encode must match a serial one under the race
+# detector, and a Byzantine server's bounded history must reproduce the
+# full-history run bit for bit.
 verify:
 	$(GO) vet ./...
 	$(GO) test -race -run 'Gemm' ./internal/tensor/
@@ -68,6 +74,10 @@ verify:
 	$(GO) test -race -run 'TestAsyncDeterminism|TestAsyncSpillPathsBitIdentical' ./internal/core/
 	$(GO) test -race -run 'TestChaosFloodJunkStorm' ./internal/node/
 	$(GO) test -run 'TestDecodeOversizeClaimBounded|TestHelloPrefilterRejectZeroAlloc' ./internal/transport/
+	$(GO) test -race -run 'TestTopK|TestQuantized' ./internal/compress/
+	$(GO) test -race -run 'TestEngineParallelEncodeBitIdentical|TestAttackHistoryWindowBitIdentical|TestEngineHistoryBounded' ./internal/core/
+	$(GO) test -race -run 'TestAppendHistoryKeepsNewest' ./internal/attack/
+	$(GO) test -race -run 'TestPSHistoryBounded' ./internal/node/
 	$(GO) test -race ./...
 
 # Just the fault-injection surface under the race detector.

@@ -451,9 +451,11 @@ func BuildEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 
+	// Every client starts from client 0's model (core.NewEngine installs
+	// its w0 on the others), so only client 0 draws initial weights.
 	learners := make([]Learner, cfg.Clients)
 	for k := 0; k < cfg.Clients; k++ {
-		net, err := buildModel(cfg.Model, cfg.Dataset, cfg.Seed)
+		net, err := buildModel(cfg.Model, cfg.Dataset, cfg.Seed, k > 0)
 		if err != nil {
 			return nil, err
 		}
@@ -665,7 +667,10 @@ func buildPartition(train *data.Dataset, spec DatasetSpec, clients int, seed uin
 	return data.IIDPartition(train.Len(), clients, pseed), nil
 }
 
-func buildModel(spec ModelSpec, ds DatasetSpec, seed uint64) (*nn.Network, error) {
+// buildModel constructs the network for spec. noInit skips the random
+// weight draw (all weights zero), for callers that overwrite the
+// parameters before first use.
+func buildModel(spec ModelSpec, ds DatasetSpec, seed uint64, noInit bool) (*nn.Network, error) {
 	mseed := randx.Derive(seed, "model")
 	switch spec.Kind {
 	case ModelLogistic, ModelMLP:
@@ -678,10 +683,16 @@ func buildModel(spec ModelSpec, ds DatasetSpec, seed uint64) (*nn.Network, error
 		case DatasetMNIST:
 			in = 28 * 28
 		}
-		if spec.Kind == ModelLogistic {
+		if spec.Kind == ModelLogistic && !noInit {
 			return nn.NewLogistic(in, ds.NumClasses, mseed), nil
 		}
-		return nn.NewMLP(nn.MLPConfig{In: in, Hidden: spec.Hidden, NumClasses: ds.NumClasses, Seed: mseed}), nil
+		hidden := spec.Hidden
+		if spec.Kind == ModelLogistic {
+			// An MLP without hidden layers has the logistic model's one
+			// "out" Dense layer and parameter layout.
+			hidden = nil
+		}
+		return nn.NewMLP(nn.MLPConfig{In: in, Hidden: hidden, NumClasses: ds.NumClasses, Seed: mseed, NoInit: noInit}), nil
 	case ModelSmallCNN, ModelMobileNetV2:
 		channels, resolution := ds.Channels, ds.Resolution
 		classes := ds.NumClasses
@@ -700,6 +711,7 @@ func buildModel(spec ModelSpec, ds DatasetSpec, seed uint64) (*nn.Network, error
 				InChannels: channels,
 				Resolution: resolution,
 				Seed:       mseed,
+				NoInit:     noInit,
 			}), nil
 		}
 		return nn.NewMobileNetV2(nn.MobileNetV2Config{
@@ -708,6 +720,7 @@ func buildModel(spec ModelSpec, ds DatasetSpec, seed uint64) (*nn.Network, error
 			Resolution: resolution,
 			WidthMult:  spec.WidthMult,
 			Seed:       mseed,
+			NoInit:     noInit,
 		}), nil
 	default:
 		return nil, fmt.Errorf("fedms: unknown model kind %q", spec.Kind)

@@ -29,9 +29,10 @@ type Context struct {
 	// TrueAgg is the server's honest aggregate for this round. Attacks
 	// must not mutate it.
 	TrueAgg []float64
-	// History holds the server's honest aggregates for rounds
-	// 0..Round-1 (History[r] = aggregate of round r). Attacks must not
-	// mutate it.
+	// History holds the last ≤ HistoryDepth() honest aggregates,
+	// oldest first: the server's aggregates of the rounds before Round,
+	// of which the runtime keeps only as many as the attack declares it
+	// reads. Attacks must not mutate it.
 	History [][]float64
 	// BenignAggs holds this round's honest aggregates of the *benign*
 	// servers — the "adaptive knowledge" of the paper's threat model,
@@ -55,8 +56,30 @@ type Attack interface {
 	// different clients (the paper's worst case). It controls RNG
 	// derivation in the engine.
 	Equivocates() bool
+	// HistoryDepth is how many trailing honest aggregates Tamper reads
+	// from Context.History. The engine and the PS retain only that many
+	// per Byzantine server, so the history costs O(depth·d) memory
+	// instead of growing by d floats every round.
+	HistoryDepth() int
 	// Tamper returns a freshly allocated tampered vector.
 	Tamper(ctx *Context) []float64
+}
+
+// AppendHistory records agg as a Byzantine server's newest honest
+// aggregate in h and returns the history, keeping only the last depth
+// entries, oldest first. Older entries are released rather than kept
+// reachable from the backing array.
+func AppendHistory(h [][]float64, agg []float64, depth int) [][]float64 {
+	if depth <= 0 {
+		return nil
+	}
+	if len(h) < depth {
+		return append(h, agg)
+	}
+	copy(h, h[len(h)-depth+1:])
+	h = h[:depth]
+	h[depth-1] = agg
+	return h
 }
 
 // None is the identity "attack": the server behaves honestly. Used for
@@ -68,6 +91,9 @@ func (None) Name() string { return "none" }
 
 // Equivocates implements Attack.
 func (None) Equivocates() bool { return false }
+
+// HistoryDepth implements Attack.
+func (None) HistoryDepth() int { return 0 }
 
 // Tamper implements Attack.
 func (None) Tamper(ctx *Context) []float64 {
@@ -95,6 +121,9 @@ func (a Noise) sigma() float64 {
 
 // Equivocates implements Attack.
 func (a Noise) Equivocates() bool { return a.PerClient }
+
+// HistoryDepth implements Attack.
+func (Noise) HistoryDepth() int { return 0 }
 
 // Tamper implements Attack.
 func (a Noise) Tamper(ctx *Context) []float64 {
@@ -131,6 +160,9 @@ func (a Random) bounds() (float64, float64) {
 // Equivocates implements Attack.
 func (a Random) Equivocates() bool { return a.PerClient }
 
+// HistoryDepth implements Attack.
+func (Random) HistoryDepth() int { return 0 }
+
 // Tamper implements Attack.
 func (a Random) Tamper(ctx *Context) []float64 {
 	lo, hi := a.bounds()
@@ -159,6 +191,9 @@ func (a Safeguard) gamma() float64 {
 
 // Equivocates implements Attack.
 func (Safeguard) Equivocates() bool { return false }
+
+// HistoryDepth implements Attack.
+func (Safeguard) HistoryDepth() int { return 1 }
 
 // Tamper implements Attack.
 func (a Safeguard) Tamper(ctx *Context) []float64 {
@@ -196,6 +231,9 @@ func (a Backward) lag() int {
 // Equivocates implements Attack.
 func (Backward) Equivocates() bool { return false }
 
+// HistoryDepth implements Attack.
+func (a Backward) HistoryDepth() int { return a.lag() }
+
 // Tamper implements Attack.
 func (a Backward) Tamper(ctx *Context) []float64 {
 	idx := len(ctx.History) - a.lag()
@@ -228,6 +266,9 @@ func (a SignFlip) scale() float64 {
 // Equivocates implements Attack.
 func (SignFlip) Equivocates() bool { return false }
 
+// HistoryDepth implements Attack.
+func (SignFlip) HistoryDepth() int { return 0 }
+
 // Tamper implements Attack.
 func (a SignFlip) Tamper(ctx *Context) []float64 {
 	out := clone(ctx.TrueAgg)
@@ -247,6 +288,9 @@ func (Zero) Name() string { return "zero" }
 
 // Equivocates implements Attack.
 func (Zero) Equivocates() bool { return false }
+
+// HistoryDepth implements Attack.
+func (Zero) HistoryDepth() int { return 0 }
 
 // Tamper implements Attack.
 func (Zero) Tamper(ctx *Context) []float64 {

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -226,5 +227,18 @@ func TestAttacksNeverMutateState(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestAppendHistoryKeepsNewest(t *testing.T) {
+	var h [][]float64
+	for r := 0; r < 6; r++ {
+		h = AppendHistory(h, []float64{float64(r)}, 3)
+	}
+	if want := [][]float64{{3}, {4}, {5}}; !reflect.DeepEqual(h, want) {
+		t.Fatalf("history %v, want %v", h, want)
+	}
+	if h = AppendHistory(h, []float64{6}, 0); h != nil {
+		t.Fatalf("depth 0 kept %v", h)
 	}
 }

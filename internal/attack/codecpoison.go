@@ -51,6 +51,9 @@ func (a CodecPoison) ratio() float64 {
 // Equivocates implements Attack.
 func (CodecPoison) Equivocates() bool { return false }
 
+// HistoryDepth implements Attack.
+func (CodecPoison) HistoryDepth() int { return 0 }
+
 // Tamper implements Attack.
 func (a CodecPoison) Tamper(ctx *Context) []float64 {
 	mean, std := benignStats(ctx)

@@ -33,6 +33,9 @@ func (a ALIE) z() float64 {
 // Equivocates implements Attack.
 func (ALIE) Equivocates() bool { return false }
 
+// HistoryDepth implements Attack.
+func (ALIE) HistoryDepth() int { return 0 }
+
 // Tamper implements Attack.
 func (a ALIE) Tamper(ctx *Context) []float64 {
 	mean, std := benignStats(ctx)
@@ -66,6 +69,9 @@ func (a IPM) eps() float64 {
 
 // Equivocates implements Attack.
 func (IPM) Equivocates() bool { return false }
+
+// HistoryDepth implements Attack.
+func (IPM) HistoryDepth() int { return 1 }
 
 // Tamper implements Attack.
 func (a IPM) Tamper(ctx *Context) []float64 {

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -396,7 +398,7 @@ func (denseCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
 type topkCodec struct {
 	name  string
 	ratio float64
-	order []int
+	keys  []uint64 // selection scratch, d long
 	s     Sparse
 }
 
@@ -410,21 +412,15 @@ func (c *topkCodec) AppendEncode(dst []byte, v []float64) (Encoding, []byte) {
 
 // sparsify fills c.s with the top-k (or, when pick != nil, the given
 // already-sorted index set) of v, reusing buffers.
+//
+// The top-k order is |v| descending, then index ascending — what a
+// stable sort by magnitude picks. Magnitudes are ranked by magKey,
+// which also places NaN above +Inf, so a non-finite coordinate is
+// always kept rather than landing wherever a comparison sort leaves
+// it. Selection is linear: selectKth finds the k-th largest key in a
+// scratch copy, then one index-order pass keeps every key above it
+// plus the first k−#greater ties, so the indices come out ascending.
 func (c *topkCodec) sparsify(v []float64, k int, pick []int) {
-	if pick == nil {
-		if cap(c.order) < len(v) {
-			c.order = make([]int, len(v))
-		}
-		order := c.order[:len(v)]
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return math.Abs(v[order[a]]) > math.Abs(v[order[b]])
-		})
-		pick = order[:k]
-		sort.Ints(pick)
-	}
 	if cap(c.s.Indices) < k {
 		c.s.Indices = make([]uint32, k)
 		c.s.Values = make([]float64, k)
@@ -432,10 +428,91 @@ func (c *topkCodec) sparsify(v []float64, k int, pick []int) {
 	c.s.Dim = len(v)
 	c.s.Indices = c.s.Indices[:k]
 	c.s.Values = c.s.Values[:k]
-	for i, idx := range pick {
-		c.s.Indices[i] = uint32(idx)
-		c.s.Values[i] = v[idx]
+	if pick != nil {
+		for i, idx := range pick {
+			c.s.Indices[i] = uint32(idx)
+			c.s.Values[i] = v[idx]
+		}
+		return
 	}
+	if cap(c.keys) < len(v) {
+		c.keys = make([]uint64, len(v))
+	}
+	keys := c.keys[:len(v)]
+	for i, x := range v {
+		keys[i] = magKey(x)
+	}
+	th := selectKth(keys, len(v)-k)
+	ties := k
+	for _, x := range v {
+		if magKey(x) > th {
+			ties--
+		}
+	}
+	n := 0
+	for i, x := range v {
+		if key := magKey(x); key > th || (key == th && ties > 0) {
+			if key == th {
+				ties--
+			}
+			c.s.Indices[n] = uint32(i)
+			c.s.Values[n] = x
+			n++
+		}
+	}
+}
+
+// magKey maps x to a key whose unsigned order is the order of |x| for
+// every non-NaN x (−0 and +0 map to the same key), with every NaN
+// ranked above +Inf.
+func magKey(x float64) uint64 { return math.Float64bits(x) &^ (1 << 63) }
+
+// selectKth reorders a so that a[n] holds the value it has in
+// ascending sorted order, and returns it. It is an introselect: a
+// three-way-partition quickselect on a median-of-three pivot, so
+// sorted, reverse-sorted and all-equal inputs each take one pass per
+// level, with a sort of the remaining range after 2·log2(len(a))
+// levels to bound the worst case at O(d log d).
+func selectKth(a []uint64, n int) uint64 {
+	lo, hi := 0, len(a)
+	for depth := 2 * bits.Len(uint(len(a))); depth > 0 && hi-lo > 16; depth-- {
+		p := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// [lo,lt) < p, [lt,gt) == p, [gt,hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch x := a[i]; {
+			case x < p:
+				a[lt], a[i] = x, a[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				a[gt], a[i] = x, a[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case n < lt:
+			hi = lt
+		case n >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	slices.Sort(a[lo:hi])
+	return a[n]
+}
+
+func median3(a, b, c uint64) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	return max(a, b)
 }
 
 // randkCodec samples a fresh index set each call from a per-instance

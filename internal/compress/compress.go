@@ -109,7 +109,22 @@ type Quantized struct {
 
 func (q *Quantized) denseInto(dst []float64) { q.denseRange(dst, 0, q.Dim) }
 
+// code reads code i. The 4-, 8- and 16-bit widths are nibble, byte
+// and little-endian uint16 loads; other widths go bit by bit.
 func (q *Quantized) code(i int) uint64 {
+	switch q.Bits {
+	case 8:
+		return uint64(q.Codes[i])
+	case 16:
+		return uint64(binary.LittleEndian.Uint16(q.Codes[2*i:]))
+	case 4:
+		return uint64(q.Codes[i/2]>>(4*(i&1))) & 0xF
+	}
+	return q.codeBits(i)
+}
+
+// codeBits is the generic bit-by-bit read of code i, for any width.
+func (q *Quantized) codeBits(i int) uint64 {
 	bitOff := i * q.Bits
 	var code uint64
 	for b := 0; b < q.Bits; b++ {
@@ -122,7 +137,24 @@ func (q *Quantized) code(i int) uint64 {
 	return code
 }
 
+// setCode stores the low Bits bits of code as code i into zeroed
+// Codes, with the same fast widths as code.
 func (q *Quantized) setCode(i int, code uint64) {
+	switch q.Bits {
+	case 8:
+		q.Codes[i] = byte(code)
+	case 16:
+		binary.LittleEndian.PutUint16(q.Codes[2*i:], uint16(code))
+	case 4:
+		q.Codes[i/2] |= byte(code&0xF) << (4 * (i & 1))
+	default:
+		q.setCodeBits(i, code)
+	}
+}
+
+// setCodeBits is the generic bit-by-bit store of code i, for any
+// width.
+func (q *Quantized) setCodeBits(i int, code uint64) {
 	bitOff := i * q.Bits
 	for b := 0; b < q.Bits; b++ {
 		byteIdx := (bitOff + b) / 8

@@ -67,11 +67,11 @@ type Engine struct {
 	learners []Learner
 	dim      int
 
-	// history[i] holds server i's honest aggregates, one per completed
-	// round; Byzantine tampering never enters this history (it feeds
-	// the attack's adaptive knowledge instead). Only Byzantine servers
-	// retain history — they are its only readers — so steady-state
-	// memory is O(T·B·d), not O(T·P·d).
+	// history[i] holds server i's last cfg.Attack.HistoryDepth() honest
+	// aggregates, oldest first; Byzantine tampering never enters this
+	// history (it feeds the attack's adaptive knowledge instead). Only
+	// Byzantine servers retain history — they are its only readers — so
+	// steady-state memory is O(depth·B·d), flat in the round count.
 	history [][][]float64
 	// lastAgg[i] is server i's most recent aggregate, reused when the
 	// sparse upload assigns it no clients in a round.
@@ -324,7 +324,12 @@ func (e *Engine) RunRound() RoundStats {
 		if e.encBufs == nil {
 			e.encBufs = make([][]byte, e.cfg.Clients)
 		}
-		for _, k := range active {
+		// Each encode writes only client k's slots (codec state, buffer,
+		// view, byte count, tag), so the clients encode concurrently on
+		// the training pool and error feedback advances exactly as it
+		// would serially.
+		e.forEachClient(len(active), func(j int) {
+			k := active[j]
 			var enc compress.Encoding
 			enc, e.encBufs[k] = e.codecs[k].AppendEncode(e.encBufs[k][:0], uploads[k])
 			v, err := compress.ParsePayload(enc, e.encBufs[k])
@@ -336,7 +341,7 @@ func (e *Engine) RunRound() RoundStats {
 			if e.encs != nil {
 				e.encs[k] = enc
 			}
-		}
+		})
 	} else {
 		for _, k := range active {
 			views[k] = compress.DensePayload(uploads[k])
@@ -469,12 +474,14 @@ func (e *Engine) RunRound() RoundStats {
 		st.DownloadBytes += b
 	}
 
-	// Append honest aggregates to the adaptive-adversary history. Only
-	// Byzantine servers read it (attack.Context.History), so only they
-	// retain it — a benign history would grow O(T·d) per server unread
-	// and would pin the reused aggregation buffers.
+	// Append honest aggregates to the adaptive-adversary history, up to
+	// the attack's declared depth. Only Byzantine servers read it
+	// (attack.Context.History), so only they retain it — a benign
+	// history would go unread and would pin the reused aggregation
+	// buffers.
+	depth := e.cfg.Attack.HistoryDepth()
 	for _, i := range e.cfg.ByzantineIDs {
-		e.history[i] = append(e.history[i], aggs[i])
+		e.history[i] = attack.AppendHistory(e.history[i], aggs[i], depth)
 	}
 	if e.obsOn {
 		now := time.Now()

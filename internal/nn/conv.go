@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"fedms/internal/randx"
 	"fedms/internal/tensor"
@@ -46,7 +45,8 @@ type ConvOpts struct {
 	NoBias bool // convolutions followed by batch norm typically skip bias
 }
 
-// NewConv2D constructs a convolution layer with He-normal initialization.
+// NewConv2D constructs a convolution layer with He-normal initialization;
+// a nil r leaves the weights zero, as in NewDense.
 func NewConv2D(name string, inC, outC, kernel int, opts ConvOpts, r *randx.RNG) *Conv2D {
 	if opts.Stride == 0 {
 		opts.Stride = 1
@@ -59,7 +59,7 @@ func NewConv2D(name string, inC, outC, kernel int, opts ConvOpts, r *randx.RNG) 
 	}
 	fanIn := (inC / opts.Groups) * kernel * kernel
 	w := tensor.New(outC, fanIn)
-	w.FillNormal(r, 0, math.Sqrt(2.0/float64(fanIn)))
+	heNormal(w, r, fanIn)
 	c := &Conv2D{
 		name:    name,
 		inC:     inC,

@@ -24,10 +24,11 @@ type Dense struct {
 }
 
 // NewDense constructs a fully connected layer with He-normal initialized
-// weights and zero bias.
+// weights and zero bias. A nil r leaves the weights zero, for a caller
+// that installs its own (see MLPConfig.NoInit).
 func NewDense(name string, in, out int, r *randx.RNG) *Dense {
 	w := tensor.New(in, out)
-	w.FillNormal(r, 0, math.Sqrt(2.0/float64(in)))
+	heNormal(w, r, in)
 	return &Dense{
 		name: name,
 		in:   in,
@@ -98,4 +99,21 @@ func as2D(x *tensor.Dense, features int, layer string) *tensor.Dense {
 		panic(fmt.Sprintf("nn: %s expects %d features per sample, got shape %v", layer, features, x.Shape()))
 	}
 	return x.Reshape(n, features)
+}
+
+// heNormal fills w with He-normal samples for the given fan-in, or
+// leaves it zero when r is nil.
+func heNormal(w *tensor.Dense, r *randx.RNG, fanIn int) {
+	if r != nil {
+		w.FillNormal(r, 0, math.Sqrt(2.0/float64(fanIn)))
+	}
+}
+
+// initRNG returns the weight-initialization stream of a model, or nil
+// when noInit asks for zero weights.
+func initRNG(seed uint64, label string, noInit bool) *randx.RNG {
+	if noInit {
+		return nil
+	}
+	return randx.Split(seed, label)
 }

@@ -40,6 +40,7 @@ type MobileNetV2Config struct {
 	Resolution int     // input spatial size (square); <= 32 switches to the CIFAR stride adaptation
 	WidthMult  float64 // channel width multiplier (1.0 = paper-size network)
 	Seed       uint64
+	NoInit     bool // zero weights, no random draw (see MLPConfig.NoInit)
 }
 
 // blockSpec is one row of the MobileNet V2 architecture table:
@@ -70,7 +71,7 @@ func NewMobileNetV2(cfg MobileNetV2Config) *Network {
 	if cfg.WidthMult <= 0 {
 		cfg.WidthMult = 1.0
 	}
-	r := randx.Split(cfg.Seed, "mobilenetv2")
+	r := initRNG(cfg.Seed, "mobilenetv2", cfg.NoInit)
 	cifar := cfg.Resolution <= 32
 
 	width := func(c int) int {
@@ -126,13 +127,14 @@ type SmallCNNConfig struct {
 	InChannels int
 	Resolution int
 	Seed       uint64
+	NoInit     bool // zero weights, no random draw (see MLPConfig.NoInit)
 }
 
 // NewSmallCNN builds a compact conv-BN-ReLU ×2 classifier. It trains the
 // same way MobileNet V2 does but is small enough for federated sweeps on
 // a single CPU core.
 func NewSmallCNN(cfg SmallCNNConfig) *Network {
-	r := randx.Split(cfg.Seed, "smallcnn")
+	r := initRNG(cfg.Seed, "smallcnn", cfg.NoInit)
 	res := cfg.Resolution
 	if res%4 != 0 {
 		panic("nn: SmallCNN requires resolution divisible by 4")
@@ -159,13 +161,17 @@ type MLPConfig struct {
 	Hidden     []int
 	NumClasses int
 	Seed       uint64
+	// NoInit skips the random weight draw and leaves every weight zero,
+	// for a caller that installs its own parameters right after
+	// construction (a federation's shared initial model).
+	NoInit bool
 }
 
 // NewMLP builds a ReLU multilayer perceptron classifier. This is the
 // model used by the long federated sweeps (Figs. 2, 3, 5), where the
 // attack/defence dynamics — not the architecture — are under study.
 func NewMLP(cfg MLPConfig) *Network {
-	r := randx.Split(cfg.Seed, "mlp")
+	r := initRNG(cfg.Seed, "mlp", cfg.NoInit)
 	seq := NewSequential("mlp")
 	in := cfg.In
 	for i, h := range cfg.Hidden {

@@ -22,6 +22,7 @@ type truncating struct{}
 
 func (truncating) Name() string      { return "truncating" }
 func (truncating) Equivocates() bool { return false }
+func (truncating) HistoryDepth() int { return 0 }
 func (truncating) Tamper(ctx *attack.Context) []float64 {
 	return append([]float64(nil), ctx.TrueAgg[:len(ctx.TrueAgg)-1]...)
 }

@@ -42,6 +42,15 @@ func makeLearners(t *testing.T, k int, seed uint64) []core.Learner {
 func runDistributed(t *testing.T, learners []core.Learner, p, rounds int,
 	byzantine map[int]attack.Attack, filter aggregate.Rule, seed uint64) [][]float64 {
 	t.Helper()
+	params, _ := runDistributedServers(t, learners, p, rounds, byzantine, filter, seed)
+	return params
+}
+
+// runDistributedServers is runDistributed that also returns the
+// finished PS nodes, for tests that inspect server state.
+func runDistributedServers(t *testing.T, learners []core.Learner, p, rounds int,
+	byzantine map[int]attack.Attack, filter aggregate.Rule, seed uint64) ([][]float64, []*PS) {
+	t.Helper()
 	k := len(learners)
 
 	servers := make([]*PS, p)
@@ -104,7 +113,7 @@ func runDistributed(t *testing.T, learners []core.Learner, p, rounds int,
 	for i, l := range learners {
 		params[i] = l.Params()
 	}
-	return params
+	return params, servers
 }
 
 // runEngine runs the in-process engine on an identical fixture.
@@ -190,6 +199,30 @@ func TestDistributedHistoryAttackParity(t *testing.T) {
 	eng := runEngine(t, makeLearners(t, k, seed), p, rounds, 0, []int{byzID},
 		atk, aggregate.TrimmedMean{Beta: 1.0 / 3.0}, seed)
 	assertSameParams(t, dist, eng, "backward attack")
+}
+
+// TestPSHistoryBounded checks that after 10 rounds a Byzantine PS
+// retains only its attack's declared depth of honest aggregates (none
+// under Noise), while its models still match the engine's bit for bit.
+func TestPSHistoryBounded(t *testing.T) {
+	const k, p, rounds, seed = 4, 3, 10, 35
+	byzID := 1
+	for _, atk := range []attack.Attack{attack.Backward{Lag: 3}, attack.Safeguard{}, attack.Noise{}} {
+		dist, servers := runDistributedServers(t, makeLearners(t, k, seed), p, rounds,
+			map[int]attack.Attack{byzID: atk}, aggregate.TrimmedMean{Beta: 1.0 / 3.0}, seed)
+		eng := runEngine(t, makeLearners(t, k, seed), p, rounds, 0, []int{byzID},
+			atk, aggregate.TrimmedMean{Beta: 1.0 / 3.0}, seed)
+		assertSameParams(t, dist, eng, atk.Name())
+		for i, ps := range servers {
+			want := 0
+			if i == byzID {
+				want = min(atk.HistoryDepth(), rounds)
+			}
+			if got := len(ps.history); got != want {
+				t.Fatalf("%s: PS %d retains %d aggregates after %d rounds, want %d", atk.Name(), i, got, rounds, want)
+			}
+		}
+	}
 }
 
 func TestPSRejectsBadConfig(t *testing.T) {

@@ -1465,10 +1465,11 @@ func (p *PS) disseminate(round int, agg []float64, conns []*transport.Conn, t ro
 	p.om.floatsOut.Add(int64(floatsOut))
 	p.om.sendsFailed.Add(int64(len(sendErrs)))
 	// Only a Byzantine server reads its history (adaptive-adversary
-	// knowledge); a benign one retaining it would grow O(T·d) unread and
-	// pin the reused aggregation buffer.
+	// knowledge), and only its attack's declared depth of it; a benign
+	// one retaining it would go unread and pin the reused aggregation
+	// buffer.
 	if p.cfg.Attack != nil {
-		p.history = append(p.history, agg)
+		p.history = attack.AppendHistory(p.history, agg, p.cfg.Attack.HistoryDepth())
 	}
 
 	sendLost := 0

@@ -62,7 +62,9 @@ func newHoldoutOracle(test *data.Dataset, cfg Config) (LossEval, error) {
 		idx[i] = i
 	}
 	x, y := test.Batch(idx)
-	net, err := buildModel(cfg.Model, cfg.Dataset, cfg.Seed)
+	// Every eval installs the candidate model first, so the oracle's
+	// network needs no initial weights.
+	net, err := buildModel(cfg.Model, cfg.Dataset, cfg.Seed, true)
 	if err != nil {
 		return nil, err
 	}
